@@ -19,6 +19,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -53,6 +54,7 @@ NUMERICAL_ERRORS = (
 )
 
 
+@lru_cache(maxsize=None)
 def _schema():
     with resources.files("tensorspectra").joinpath("cli_schema.json").open() as fh:
         return json.load(fh)

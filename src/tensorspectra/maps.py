@@ -45,6 +45,12 @@ ENUMERATION_CAP = 12
 
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+# Contraction-path search for the invariants: greedy, with intermediates of
+# up to 2**24 elements (128 MiB of float64).  numpy's default limit, the
+# largest operand, rules out the N^4 intermediate of the K4 invariant and
+# leaves it to the naive N^6 loop.
+_EINSUM_OPTIMIZE = ("greedy", 2**24)
+
 
 @dataclass(frozen=True)
 class CombinatorialMap:
@@ -106,10 +112,28 @@ class CombinatorialMap:
             raise DomainError("canonical_key needs a rooted map")
         return _canonical_key(self.successor, self.pairing, self.root)
 
-    def unrooted_key(self):
-        """Minimum of the rooted keys over all rootings: a graph invariant."""
+    def multigraph_key(self):
+        """Canonical vertex adjacency-count matrix of the underlying multigraph.
+
+        Entry (v, w) counts the edges joining vertices v and w (self-loops
+        on the diagonal); the key is the lexicographically least flattened
+        matrix over all vertex relabelings.  For a symmetric tensor the
+        trace invariant, and its Gaussian expectation, depend on the map
+        only through this key: not on the root, nor on the cyclic order of
+        the half-edges at each vertex.
+        """
+        verts = self.vertices()
+        vertex_of = {h: v for v, cyc in enumerate(verts) for h in cyc}
+        n = len(verts)
+        adj = [[0] * n for _ in range(n)]
+        for a, b in self.edges():
+            v, w = vertex_of[a], vertex_of[b]
+            adj[v][w] += 1
+            if v != w:
+                adj[w][v] += 1
         return min(
-            _canonical_key(self.successor, self.pairing, h) for h in self.half_edges
+            tuple(adj[v][w] for v in perm for w in perm)
+            for perm in itertools.permutations(range(n))
         )
 
 
@@ -166,22 +190,30 @@ def _pairings(items):
             yield [(first, other)] + tail
 
 
-@lru_cache(maxsize=None)
+def _check_size(p: int, n: int, cap: int) -> None:
+    if p < 2 or n < 0:
+        raise DomainError(f"need p >= 2 and n >= 0, got p={p}, n={n}")
+    if n * p > cap:
+        raise CapExceeded(f"n*p = {n * p} exceeds the enumeration cap {cap}")
+
+
 def enumerate_rooted_maps(p: int, n: int, cap: int = ENUMERATION_CAP):
     """Connected rooted p-valent maps with n vertices, one per class.
 
     The successor permutation is fixed to n disjoint p-cycles; all
     fixed-point-free pairings are generated, filtered for connectivity,
     rooted in every possible way and deduplicated by BFS canonical form.
-    Returns an empty tuple when n*p is odd (no pairing exists).
+    Returns an empty tuple when n = 0 or n*p is odd (no pairing exists).
+    The result is cached per (p, n); `cap` only decides whether
+    CapExceeded is raised.
     """
-    if p < 2 or n < 0:
-        raise DomainError(f"need p >= 2 and n >= 0, got p={p}, n={n}")
-    if n == 0:
-        return ()
-    if n * p > cap:
-        raise CapExceeded(f"n*p = {n * p} exceeds the enumeration cap {cap}")
-    if (n * p) % 2:
+    _check_size(p, n, cap)
+    return _rooted_maps(p, n)
+
+
+@lru_cache(maxsize=None)
+def _rooted_maps(p: int, n: int):
+    if n == 0 or (n * p) % 2:
         return ()
     m = n * p
     succ = tuple((v * p + (i + 1) % p) for v in range(n) for i in range(p))
@@ -201,6 +233,26 @@ def enumerate_rooted_maps(p: int, n: int, cap: int = ENUMERATION_CAP):
                 seen.add(key)
                 out.append(CombinatorialMap(p, succ, pairing, root))
     return tuple(out)
+
+
+# The public function exposes the (p, n)-keyed cache's statistics.
+enumerate_rooted_maps.cache_info = _rooted_maps.cache_info
+enumerate_rooted_maps.cache_clear = _rooted_maps.cache_clear
+
+
+@lru_cache(maxsize=None)
+def _multigraph_classes(p: int, n: int):
+    """Rooted classes of I_n grouped by multigraph: ((representative, multiplicity), ...)."""
+    groups = {}
+    # callers have checked the cap; the public entry point keeps the
+    # enumeration's time and cache statistics in one place
+    for cmap in enumerate_rooted_maps(p, n, cap=n * p):
+        key = cmap.multigraph_key()
+        if key in groups:
+            groups[key][1] += 1
+        else:
+            groups[key] = [cmap, 1]
+    return tuple((rep, mult) for rep, mult in groups.values())
 
 
 def _einsum_subscripts(cmap):
@@ -228,24 +280,23 @@ def trace_invariant(tensor: SymmetricTensor, cmap: CombinatorialMap) -> float:
         )
     dense = tensor.to_dense()
     operands = [dense] * cmap.n_vertices
-    return float(np.einsum(_einsum_subscripts(cmap), *operands, optimize=True))
+    return float(np.einsum(_einsum_subscripts(cmap), *operands, optimize=_EINSUM_OPTIMIZE))
 
 
 @lru_cache(maxsize=None)
-def _invariant_plan(p: int, n: int, cap: int = ENUMERATION_CAP):
-    """Grouped contraction plan for I_n: (einsum subscripts, multiplicity).
+def _contraction_plan(p: int, n: int, N: int):
+    """Contraction plan for I_n at dimension N: ((subscripts, path, multiplicity), ...).
 
-    Rooted classes sharing the same underlying map evaluate to the same
-    trace invariant, so they are contracted once and weighted.
+    One einsum per multigraph, weighted by the number of rooted classes
+    it carries; each path is planned once from the operand shapes.
     """
-    groups = {}
-    for cmap in enumerate_rooted_maps(p, n, cap):
-        key = cmap.unrooted_key()
-        if key in groups:
-            groups[key][1] += 1
-        else:
-            groups[key] = [_einsum_subscripts(cmap), 1]
-    return tuple((subs, mult) for subs, mult in groups.values())
+    shape_only = np.broadcast_to(0.0, (N,) * p)
+    plan = []
+    for rep, mult in _multigraph_classes(p, n):
+        subs = _einsum_subscripts(rep)
+        path, _ = np.einsum_path(subs, *[shape_only] * n, optimize=_EINSUM_OPTIMIZE)
+        plan.append((subs, path, mult))
+    return tuple(plan)
 
 
 def balanced_invariant(tensor: SymmetricTensor, n: int, cap: int = ENUMERATION_CAP) -> float:
@@ -256,14 +307,14 @@ def balanced_invariant(tensor: SymmetricTensor, n: int, cap: int = ENUMERATION_C
     """
     if n == 0:
         return float(tensor.N)
-    plan = _invariant_plan(tensor.p, n, cap)
+    _check_size(tensor.p, n, cap)
+    plan = _contraction_plan(tensor.p, n, tensor.N)
     if not plan:
         return 0.0
     dense = tensor.to_dense()
     total = 0.0
-    for subs, mult in plan:
-        k = subs.count(",") + 1
-        total += mult * float(np.einsum(subs, *([dense] * k), optimize=True))
+    for subs, path, mult in plan:
+        total += mult * float(np.einsum(subs, *([dense] * n), optimize=path))
     return total
 
 
@@ -292,8 +343,29 @@ def _loop_count(map_pairs, prop_pairs, m):
     return loops
 
 
-def _matchings(items):
-    yield from _pairings(items)
+@lru_cache(maxsize=None)
+def _loop_histogram(p: int, n: int):
+    """((loops c, number of Wick terms closing into c loops), ...) for I_n.
+
+    Summed over rooted classes, vertex matchings and slot permutations;
+    independent of N.  Classes sharing a multigraph share their terms,
+    so each multigraph is expanded once and weighted.
+    """
+    perms = list(itertools.permutations(range(p)))
+    hist = {}
+    for cmap, mult in _multigraph_classes(p, n):
+        m = len(cmap.successor)
+        map_pairs = cmap.edges()
+        verts = cmap.vertices()
+        for matching in _pairings(list(range(n))):
+            for sigmas in itertools.product(perms, repeat=len(matching)):
+                prop_pairs = []
+                for (v, w), sigma in zip(matching, sigmas):
+                    for i in range(p):
+                        prop_pairs.append((verts[v][i], verts[w][sigma[i]]))
+                c = _loop_count(map_pairs, prop_pairs, m)
+                hist[c] = hist.get(c, 0) + mult
+    return tuple(sorted(hist.items()))
 
 
 def wick_expectation(p: int, N: int, n: int, cap: int = ENUMERATION_CAP) -> Fraction:
@@ -309,27 +381,10 @@ def wick_expectation(p: int, N: int, n: int, cap: int = ENUMERATION_CAP) -> Frac
         return Fraction(1)  # <I_0>/N with the I_0 = N convention
     if n % 2:
         return Fraction(0)
-    if n * p > cap:
-        raise CapExceeded(f"n*p = {n * p} exceeds the cap {cap}")
+    _check_size(p, n, cap)
     Nf = Fraction(N)
     pref = (Fraction(p) / Nf ** (p - 1) / math.factorial(p)) ** (n // 2)
-    total = Fraction(0)
-    perms = list(itertools.permutations(range(p)))
-    for cmap in enumerate_rooted_maps(p, n, cap):
-        m = len(cmap.successor)
-        map_pairs = cmap.edges()
-        verts = cmap.vertices()
-        loop_powers = {}
-        for matching in _matchings(list(range(cmap.n_vertices))):
-            for sigmas in itertools.product(perms, repeat=len(matching)):
-                prop_pairs = []
-                for (v, w), sigma in zip(matching, sigmas):
-                    for i in range(p):
-                        prop_pairs.append((verts[v][i], verts[w][sigma[i]]))
-                c = _loop_count(map_pairs, prop_pairs, m)
-                loop_powers[c] = loop_powers.get(c, 0) + 1
-        for c, count in loop_powers.items():
-            total += count * Nf**c
+    total = sum(count * Nf**c for c, count in _loop_histogram(p, n))
     return pref * total / Nf
 
 
@@ -358,8 +413,8 @@ def mc_expected_invariant(
         raise DomainError("need at least one sample")
     if n == 0:
         return InvariantEstimate(n, p, N, 1.0, 0.0, samples, seed)
-    plan = _invariant_plan(p, n, cap)
-    if not plan:
+    _check_size(p, n, cap)
+    if not _multigraph_classes(p, n):
         return InvariantEstimate(n, p, N, 0.0, 0.0, samples, seed)
     child_seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
     vals = np.empty(samples)

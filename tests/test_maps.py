@@ -7,7 +7,10 @@ import pytest
 
 from tensorspectra.errors import CapExceeded, DomainError
 from tensorspectra.maps import (
+    ENUMERATION_CAP,
     CombinatorialMap,
+    _loop_count,
+    _pairings,
     balanced_invariant,
     enumerate_rooted_maps,
     map_from_json,
@@ -53,6 +56,39 @@ def hand_coded_i2_p3(tensor):
     return 3 * s1 + 2 * s2
 
 
+def reference_wick(p, N, n):
+    """<I_n>/N by Wick pairing over every rooted class, one at a time."""
+    if n == 0:
+        return Fraction(1)
+    if n % 2:
+        return Fraction(0)
+    Nf = Fraction(N)
+    pref = (Fraction(p) / Nf ** (p - 1) / math.factorial(p)) ** (n // 2)
+    total = Fraction(0)
+    perms = list(itertools.permutations(range(p)))
+    for cmap in enumerate_rooted_maps(p, n):
+        m = len(cmap.successor)
+        map_pairs = cmap.edges()
+        verts = cmap.vertices()
+        loop_powers = {}
+        for matching in _pairings(list(range(cmap.n_vertices))):
+            for sigmas in itertools.product(perms, repeat=len(matching)):
+                prop_pairs = []
+                for (v, w), sigma in zip(matching, sigmas):
+                    for i in range(p):
+                        prop_pairs.append((verts[v][i], verts[w][sigma[i]]))
+                c = _loop_count(map_pairs, prop_pairs, m)
+                loop_powers[c] = loop_powers.get(c, 0) + 1
+        for c, count in loop_powers.items():
+            total += count * Nf**c
+    return pref * total / Nf
+
+
+def sizes_up_to(half_edges):
+    """Every (p, n) with p >= 2, n >= 1 and n*p <= half_edges."""
+    return [(p, n) for p in range(2, half_edges + 1) for n in range(1, half_edges // p + 1)]
+
+
 # ------------------------------------------------------------- enumeration
 
 def test_rooted_map_counts():
@@ -73,6 +109,23 @@ def test_two_valent_maps_are_rooted_cycles(n):
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_rooted_maps(3, 6)
+
+
+def test_enumeration_cached_once_per_p_n():
+    # the cap only decides whether CapExceeded is raised: both call forms
+    # share one cache entry
+    enumerate_rooted_maps.cache_clear()
+    default = enumerate_rooted_maps(3, 2)
+    explicit = enumerate_rooted_maps(3, 2, ENUMERATION_CAP)
+    with pytest.raises(CapExceeded):
+        enumerate_rooted_maps(3, 2, 5)
+    assert explicit is default
+    assert enumerate_rooted_maps.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p, n, groups", [(3, 2, 2), (4, 2, 2), (5, 2, 3), (3, 4, 5)])
+def test_multigraph_group_counts(p, n, groups):
+    assert len({cmap.multigraph_key() for cmap in enumerate_rooted_maps(p, n)}) == groups
 
 
 def test_maps_are_connected_and_valid():
@@ -163,6 +216,13 @@ def test_balanced_invariant_p3_hand_formula():
         assert balanced_invariant(T, 2) == pytest.approx(hand, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, n", sizes_up_to(ENUMERATION_CAP))
+def test_balanced_invariant_is_sum_over_rooted_classes(p, n):
+    T = sample_goe(p, 3, seed=100 * p + n)
+    reference = sum(trace_invariant(T, cmap) for cmap in enumerate_rooted_maps(p, n))
+    assert balanced_invariant(T, n) == pytest.approx(reference, rel=1e-12)
+
+
 def test_balanced_invariant_zero_cases():
     assert balanced_invariant(SymmetricTensor.zeros(3, 4), 2) == 0.0
     assert balanced_invariant(sample_goe(3, 4, seed=0), 3) == 0.0  # no maps, odd np
@@ -187,6 +247,19 @@ def test_wick_p3_n2_closed_form(N):
 @pytest.mark.parametrize("N", [2, 32, 1000])
 def test_wick_p2_n2_goe(N):
     assert wick_expectation(2, N, 2) == Fraction(N + 1, N)
+
+
+@pytest.mark.parametrize("p, n", sizes_up_to(10) + [(3, 4)])
+def test_wick_matches_reference_loop(p, n):
+    for N in (1, 2, 5, 64):
+        assert wick_expectation(p, N, n) == reference_wick(p, N, n)
+
+
+def test_wick_pinned_values():
+    # exact values of the per-rooted-class loop (reference_wick), which
+    # takes seconds at p = 6
+    assert wick_expectation(6, 8, 2) == Fraction(60255, 4096)
+    assert wick_expectation(2, 8, 6) == Fraction(4425, 512)
 
 
 def test_wick_parity_zero():
@@ -223,6 +296,12 @@ def test_mc_matches_wick_oracle():
     oracle = float(wick_expectation(3, 16, 2))
     assert abs(est.mean - oracle) < 4 * est.std_error
     assert est.std_error > 0
+
+
+def test_mc_matches_wick_oracle_n4():
+    est = mc_expected_invariant(3, 16, 4, samples=400, seed=31)
+    oracle = float(wick_expectation(3, 16, 4))
+    assert abs(est.mean - oracle) < 4 * est.std_error
 
 
 def test_mc_matches_wick_oracle_matrix_case():

@@ -360,7 +360,6 @@ def build_parser():
     sp.add_argument("--q", type=int, default=0)
     sp.add_argument("--g", type=float)
     sp.add_argument("--g-sweep", dest="g_sweep", help="start:stop:step")
-    sp.add_argument("--disc", action="store_true", help="kept for symmetry; jumps are always reported")
 
     return parser
 

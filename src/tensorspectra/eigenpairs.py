@@ -2,9 +2,10 @@
 
 A real eigenpair (lambda, x) solves T x^{p-1} = lambda x with x.x = 1,
 i.e. x is a critical point of T x^p / p on the unit sphere and lambda is
-its Rayleigh value.  Multistart Newton on the Lagrange system finds
-isolated real classes; completeness is not certified (the count is only
-bounded by ((p-1)^N - 1)/(p-2)).
+its Rayleigh value.  Multistart Newton on the Lagrange system, all
+starts iterated together as one array, finds isolated real classes;
+completeness is not certified (the count is only bounded by
+((p-1)^N - 1)/(p-2)).
 
 Real eigenpairs map one-to-one onto the real saddle points ("instantons")
 of the action phi^2/2 - T phi^p/(p y): phi = (y/lambda)^{1/(p-2)} x with
@@ -77,46 +78,105 @@ def eigenpair_count_bound(p: int, N: int) -> int:
     return q
 
 
-def _newton_eigen(tensor, x0, tol, max_iter=200):
-    """Newton iteration on (T x^{p-1} - lambda x, (x.x - 1)/2).
+def _row_dot(a, b):
+    """Row-wise dot products of two (S, n) stacks.
 
-    lambda is re-synchronized with the Rayleigh value after every step.
-    Returns (lam, x, residual) or None when it fails to converge.
+    A (1, n) @ (n, 1) matmul per row runs the same BLAS dot as a @ b on one
+    row, so each value has the bits of the one-vector product; einsum and
+    norm(axis=1) sum in another order.
     """
-    p, N = tensor.p, tensor.N
-    x = np.asarray(x0, dtype=np.float64)
-    x = x / np.linalg.norm(x)
-    lam = float(x @ contract_gradient(tensor, x))
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norm(a):
+    """Row-wise Euclidean norms, with the bits of np.linalg.norm on one row."""
+    return np.sqrt(_row_dot(a, a))
+
+
+def _rayleigh(tensor, x):
+    """M = T x^{p-2}, g = M x = T x^{p-1} and lambda = x.g for each row of x."""
+    if tensor.p > 3:
+        # the first slot leaves N^{p-1} values per row: N rows at a time keep
+        # that within the size of the dense array
+        N = tensor.N
+        M = np.empty(x.shape + (N,))
+        for i in range(0, len(x), N):
+            M[i : i + N] = contract_matrix(tensor, x[i : i + N])
+    else:
+        M = contract_matrix(tensor, x)
+    g = np.matmul(M, x[:, :, None])[:, :, 0]
+    return M, g, _row_dot(x, g)
+
+
+def _jacobian(tensor, M, lam, x):
+    """Jacobians of (T x^{p-1} - lambda x, (x.x - 1)/2) in (x, lambda), one per row."""
+    S, N = x.shape
+    J = np.empty((S, N + 1, N + 1))
+    J[:, :N, :N] = (tensor.p - 1) * M - lam[:, None, None] * np.eye(N)
+    J[:, :N, N] = -x
+    J[:, N, :N] = x
+    J[:, N, N] = 0.0
+    return J
+
+
+def _solve_rows(J, F):
+    """Newton steps J^{-1} F for a stack; a row whose J is singular gets NaN."""
+    try:
+        return np.linalg.solve(J, F[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.full(F.shape, np.nan)
+        for i in range(len(F)):
+            try:
+                step[i] = np.linalg.solve(J[i], F[i])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def _newton_batch(tensor, x0, tol, max_iter=200):
+    """Newton iteration on (T x^{p-1} - lambda x, (x.x - 1)/2), one start per row of x0.
+
+    lambda is re-synchronized with the Rayleigh value after every step.  A
+    row leaves the batch when it converges, fails (singular Jacobian,
+    non-finite or huge step, zero or non-finite norm) or reaches max_iter.
+    Returns one (lam, x, residual) per row, or None for a row that failed.
+    """
+    N = tensor.N
+    results = [None] * len(x0)
+    rows = np.arange(len(x0))
+    x = x0 / _row_norm(x0)[:, None]
+    M, g, lam = _rayleigh(tensor, x)
     for _ in range(max_iter):
-        g = contract_gradient(tensor, x)
-        F = np.empty(N + 1)
-        F[:N] = g - lam * x
-        F[N] = 0.5 * (x @ x - 1.0)
-        res = np.linalg.norm(F[:N])
-        if res < tol and abs(F[N]) < 0.5 * tol:
-            x = x / np.linalg.norm(x)
-            lam = float(x @ contract_gradient(tensor, x))
-            res = float(np.linalg.norm(contract_gradient(tensor, x) - lam * x))
-            if res < tol:
-                return lam, x, res
-        J = np.empty((N + 1, N + 1))
-        J[:N, :N] = (p - 1) * contract_matrix(tensor, x) - lam * np.eye(N)
-        J[:N, N] = -x
-        J[N, :N] = x
-        J[N, N] = 0.0
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1e6:
-            return None
-        x = x - step[:N]
-        nrm = np.linalg.norm(x)
-        if nrm == 0 or not np.isfinite(nrm):
-            return None
-        x = x / nrm
-        lam = float(x @ contract_gradient(tensor, x))
-    return None
+        if not rows.size:
+            break
+        F = np.empty((len(rows), N + 1))
+        F[:, :N] = residual = g - lam[:, None] * x
+        F[:, N] = 0.5 * (_row_dot(x, x) - 1.0)
+        J = _jacobian(tensor, M, lam, x)
+        near = np.flatnonzero((_row_norm(residual) < tol) & (np.abs(F[:, N]) < 0.5 * tol))
+        keep = np.ones(len(rows), dtype=bool)
+        if near.size:
+            # re-check on the unit sphere; a row that fails it steps from
+            # there with the Jacobian at the renormalized point but the
+            # residual F of the point before
+            xn = x[near] / _row_norm(x[near])[:, None]
+            Mn, gn, lamn = _rayleigh(tensor, xn)
+            resn = _row_norm(gn - lamn[:, None] * xn)
+            for j, i in enumerate(near):
+                if resn[j] < tol:
+                    results[rows[i]] = (float(lamn[j]), xn[j].copy(), float(resn[j]))
+                    keep[i] = False
+            x[near] = xn
+            J[near] = _jacobian(tensor, Mn, lamn, xn)
+        step = _solve_rows(J[keep], F[keep])
+        rows, x = rows[keep], x[keep]
+        ok = np.isfinite(step).all(axis=1) & ~(_row_norm(step) > 1e6)
+        rows, x = rows[ok], x[ok] - step[ok, :N]
+        nrm = _row_norm(x)
+        ok = (nrm != 0) & np.isfinite(nrm)
+        rows, x = rows[ok], x[ok] / nrm[ok, None]
+        M, g, lam = _rayleigh(tensor, x)
+    return results
 
 
 def _canonical_sign(lam, x, p):
@@ -143,21 +203,23 @@ def find_real_eigenpairs(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> list[Eigenpair]:
-    """Multistart Newton search for real eigenpair classes.
+    """Batched multistart Newton search for real eigenpair classes.
 
-    Starts are uniform on the sphere; failed starts are discarded
-    silently.  Found pairs are deduplicated (|dlam| < 10*tol and
-    min(|x-x'|, |x+x'|) < 1e-6) with the sign convention of
+    Starts are uniform on the sphere and iterate together as one
+    (n_starts, N) array; failed starts are discarded silently.  tol must
+    be positive and finite.  Found pairs are deduplicated (|dlam| <
+    10*tol and min(|x-x'|, |x+x'|) < 1e-6) with the sign convention of
     _canonical_sign.  The returned classes are not guaranteed complete.
     """
     if n_starts < 1:
         raise DomainError("need at least one start")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     rng = np.random.default_rng(seed)
+    starts = rng.normal(size=(n_starts, tensor.N))
     # clusters: [lam, x, res, degenerate]
     clusters: list[list] = []
-    for _ in range(n_starts):
-        x0 = rng.normal(size=tensor.N)
-        result = _newton_eigen(tensor, x0, tol)
+    for result in _newton_batch(tensor, starts, tol):
         if result is None:
             continue
         lam, x, res = result

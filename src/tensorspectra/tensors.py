@@ -186,33 +186,51 @@ def add_spike(tensor: SymmetricTensor, spec: SpikeSpec) -> SymmetricTensor:
 
 def _check_vector(tensor, x):
     x = np.asarray(x)
-    if x.shape != (tensor.N,):
+    if x.ndim < 1 or x.shape[-1] != tensor.N:
         raise DomainError(f"vector must have length N={tensor.N}, got shape {x.shape}")
     return x
 
 
-def contract_gradient(tensor: SymmetricTensor, x) -> np.ndarray:
-    """(T x^{p-1})_a = sum T_{a b...} x_b ... x_z over the other p-1 slots."""
+def _contract(tensor, x, k):
+    """Contract the last k slots of the cached dense array with x.
+
+    x is one vector or a (..., N) stack, whose axes lead the result.  Each
+    slot is one matmul against the dense array itself, never a copy, so a
+    row of a stack gives the same bits as the same vector alone.
+    """
     x = _check_vector(tensor, x)
+    stack = x.shape[:-1]
     out = tensor.to_dense()
-    for _ in range(tensor.p - 1):
-        out = out @ x
+    for i in range(k):
+        col = x.reshape(stack + (1,) * (tensor.p - 2 - i) + (tensor.N, 1))
+        out = np.matmul(out, col)[..., 0]
+    if not k:  # the dense array itself, as a read-only view per stack row
+        return np.broadcast_to(out, stack + out.shape)
     return out
+
+
+def contract_gradient(tensor: SymmetricTensor, x) -> np.ndarray:
+    """(T x^{p-1})_a = sum T_{a b...} x_b ... x_z over the other p-1 slots.
+
+    x may be a (..., N) stack of vectors; the result is then (..., N).
+    """
+    return _contract(tensor, x, tensor.p - 1)
 
 
 def contract_full(tensor: SymmetricTensor, x) -> float | complex:
     """Full contraction T x^p; equals x . (T x^{p-1}) (Euler identity)."""
     x = _check_vector(tensor, x)
+    if x.ndim != 1:
+        raise DomainError(f"contract_full takes one vector, got shape {x.shape}")
     return contract_gradient(tensor, x) @ x
 
 
 def contract_matrix(tensor: SymmetricTensor, x) -> np.ndarray:
-    """(T x^{p-2})_{ab}: contract all but two slots; Jacobian building block."""
-    x = _check_vector(tensor, x)
-    out = tensor.to_dense()
-    for _ in range(tensor.p - 2):
-        out = out @ x
-    return out
+    """(T x^{p-2})_{ab}: contract all but two slots; Jacobian building block.
+
+    x may be a (..., N) stack of vectors; the result is then (..., N, N).
+    """
+    return _contract(tensor, x, tensor.p - 2)
 
 
 def matrix_resolvent(tensor: SymmetricTensor, w: complex, cond_limit: float = 1e13) -> complex:
@@ -248,12 +266,26 @@ def tensor_to_bytes(tensor: SymmetricTensor) -> bytes:
 
 
 def tensor_from_bytes(blob: bytes) -> SymmetricTensor:
-    newline = blob.index(b"\n")
-    header = json.loads(blob[:newline].decode())
+    """Parses the file format above; anything else raises DomainError."""
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise DomainError("not a tensor file: no header line")
+    try:
+        header = json.loads(blob[:newline].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise DomainError("not a tensor file: the header line is not JSON") from None
+    if not isinstance(header, dict):
+        raise DomainError("not a tensor file: the header line is not a JSON object")
     if header.get("layout") != LAYOUT:
         raise DomainError(f"unsupported layout {header.get('layout')!r}")
-    data = np.frombuffer(blob[newline + 1 :], dtype="<f8")
-    return SymmetricTensor(header["p"], header["N"], data, seed=header.get("seed"))
+    p, N = header.get("p"), header.get("N")
+    if type(p) is not int or type(N) is not int:
+        raise DomainError(f"header needs integer p and N, got p={p!r}, N={N!r}")
+    payload = blob[newline + 1 :]
+    if len(payload) % 8:
+        raise DomainError(f"truncated tensor file: {len(payload)} data bytes is not a whole number of float64")
+    data = np.frombuffer(payload, dtype="<f8")
+    return SymmetricTensor(p, N, data, seed=header.get("seed"))
 
 
 def save_tensor(tensor: SymmetricTensor, path) -> None:
@@ -262,5 +294,9 @@ def save_tensor(tensor: SymmetricTensor, path) -> None:
 
 
 def load_tensor(path) -> SymmetricTensor:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read tensor file {path}: {exc.strerror}") from None
+    return tensor_from_bytes(blob)

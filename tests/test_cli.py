@@ -85,6 +85,43 @@ def test_sample_eigen_round_trip(tmp_path, capsys):
         assert rec["residual"] < 1e-9
 
 
+def _bad_tensor_files(tmp_path):
+    good = tmp_path / "good.tsp"
+    assert main(["sample", "--p", "3", "--N", "4", "--seed", "7", "--output", str(good)]) == 0
+    blob = good.read_bytes()
+    header, data = blob.split(b"\n", 1)
+    files = {
+        "missing": tmp_path / "missing.tsp",
+        "not_a_tensor": tmp_path / "notes.txt",
+        "truncated": tmp_path / "truncated.tsp",
+        "header_mismatch": tmp_path / "mismatch.tsp",
+    }
+    files["not_a_tensor"].write_text("p,N\n3,4\n")
+    files["truncated"].write_bytes(blob[:-3])
+    files["header_mismatch"].write_bytes(header.replace(b'"N": 4', b'"N": 5') + b"\n" + data)
+    return files
+
+
+@pytest.mark.parametrize("case", ["missing", "not_a_tensor", "truncated", "header_mismatch"])
+def test_eigen_input_rejects_bad_files(tmp_path, capsys, case):
+    path = _bad_tensor_files(tmp_path)[case]
+    capsys.readouterr()
+    code = main(["eigen", "--input", str(path), "--starts", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("validation error:")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_eigen_rejects_bad_tol(capsys, tol):
+    code = main(["eigen", "--tol", tol, "--starts", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tol" in captured.err
+
+
 def test_spike_sweep_shows_jump(capsys):
     code, out = run_cli(
         ["spike", "--p", "3", "--b-sweep", "2.5:3.1:0.05"], capsys
@@ -111,7 +148,7 @@ def test_annealed_subcommand(capsys):
 
 def test_borel_json(capsys):
     code, out = run_cli(
-        ["borel", "--p", "4", "--disc", "--g", "0.1", "--q", "0", "--format", "json"],
+        ["borel", "--p", "4", "--g", "0.1", "--q", "0", "--format", "json"],
         capsys,
     )
     assert code == 0

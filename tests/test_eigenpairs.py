@@ -5,6 +5,7 @@ import pytest
 
 from tensorspectra.eigenpairs import (
     Eigenpair,
+    _newton_batch,
     discontinuity_exponent,
     eigenpair_count_bound,
     find_real_eigenpairs,
@@ -14,6 +15,7 @@ from tensorspectra.errors import DomainError, NoMatchingPairs, SignMismatch
 from tensorspectra.tensors import (
     SymmetricTensor,
     contract_gradient,
+    contract_matrix,
     from_dense,
     multiset_table,
     sample_goe,
@@ -136,6 +138,171 @@ def test_all_starts_failing_warns():
     T = sample_goe(3, 4, seed=0)
     with pytest.warns(UserWarning):
         pairs = find_real_eigenpairs(T, n_starts=1, tol=1e-30, seed=0)
+    assert pairs == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(DomainError):
+        find_real_eigenpairs(example_tensor(), n_starts=2, tol=tol)
+
+
+def test_zero_tensor_every_start_is_an_eigenpair():
+    # T = 0 solves T x^{p-1} = 0 x at every unit x, so each start converges
+    # at once with lambda = 0 and residual 0 (its Jacobian is singular, but
+    # no step is taken)
+    pairs = find_real_eigenpairs(SymmetricTensor.zeros(3, 4), n_starts=5, seed=0)
+    assert len(pairs) == 5
+    assert all(pair.lam == 0 and pair.residual == 0 for pair in pairs)
+
+
+# --------------------------------------- batched solver vs the one-start loop
+
+def reference_gradient(tensor, x):
+    out = tensor.to_dense()
+    for _ in range(tensor.p - 1):
+        out = out @ x
+    return out
+
+
+def reference_matrix(tensor, x):
+    out = tensor.to_dense()
+    for _ in range(tensor.p - 2):
+        out = out @ x
+    return out
+
+
+def reference_newton(tensor, x0, tol, max_iter=200):
+    """One start at a time: the loop the batched solver replaced, kept as its reference."""
+    p, N = tensor.p, tensor.N
+    x = np.asarray(x0, dtype=np.float64)
+    x = x / np.linalg.norm(x)
+    lam = float(x @ reference_gradient(tensor, x))
+    for _ in range(max_iter):
+        g = reference_gradient(tensor, x)
+        F = np.empty(N + 1)
+        F[:N] = g - lam * x
+        F[N] = 0.5 * (x @ x - 1.0)
+        res = np.linalg.norm(F[:N])
+        if res < tol and abs(F[N]) < 0.5 * tol:
+            x = x / np.linalg.norm(x)
+            lam = float(x @ reference_gradient(tensor, x))
+            res = float(np.linalg.norm(reference_gradient(tensor, x) - lam * x))
+            if res < tol:
+                return lam, x, res
+        J = np.empty((N + 1, N + 1))
+        J[:N, :N] = (p - 1) * reference_matrix(tensor, x) - lam * np.eye(N)
+        J[:N, N] = -x
+        J[N, :N] = x
+        J[N, N] = 0.0
+        try:
+            step = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1e6:
+            return None
+        x = x - step[:N]
+        nrm = np.linalg.norm(x)
+        if nrm == 0 or not np.isfinite(nrm):
+            return None
+        x = x / nrm
+        lam = float(x @ reference_gradient(tensor, x))
+    return None
+
+
+def assert_same_bits(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    lam, x, res = got
+    assert np.array([lam, res]).tobytes() == np.array(expected[::2]).tobytes()
+    assert x.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("p, N, starts", [(3, 8, 50), (4, 10, 30), (3, 32, 16), (2, 16, 40), (5, 5, 40)])
+def test_batched_newton_matches_one_start_loop(p, N, starts):
+    for seed in (0, 1, 2):
+        T = sample_goe(p, N, seed)
+        x0 = np.random.default_rng(seed).normal(size=(starts, N))
+        results = _newton_batch(T, x0, 1e-10)
+        assert len(results) == starts
+        assert any(result is not None for result in results)
+        for row, got in zip(x0, results):
+            assert_same_bits(got, reference_newton(T, row, 1e-10))
+
+
+@pytest.mark.parametrize("p, N, starts, seed", [(3, 4, 30, 8), (2, 6, 20, 6)])
+def test_batched_newton_matches_when_the_recheck_fails(p, N, starts, seed):
+    # at tol = 3e-16 some starts pass the first convergence test but fail the
+    # re-check on the unit sphere (start 10 here once, start 2 four times);
+    # they step with the Jacobian at the renormalized x and the old F
+    T = sample_goe(p, N, seed)
+    x0 = np.random.default_rng(seed).normal(size=(starts, N))
+    for row, got in zip(x0, _newton_batch(T, x0, 3e-16)):
+        assert_same_bits(got, reference_newton(T, row, 3e-16))
+
+
+def test_start_block_is_the_sequence_of_single_draws():
+    rng = np.random.default_rng(11)
+    single = np.array([rng.normal(size=7) for _ in range(9)])
+    assert np.random.default_rng(11).normal(size=(9, 7)).tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("p, N", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_stacked_contractions_match_single_vectors(p, N):
+    T = sample_goe(p, N, seed=p)
+    X = np.random.default_rng(N).normal(size=(6, N))
+    G = contract_gradient(T, X)
+    M = contract_matrix(T, X)
+    assert G.shape == (6, N) and M.shape == (6, N, N)
+    for x, g, m in zip(X, G, M):
+        assert g.tobytes() == contract_gradient(T, x).tobytes() == reference_gradient(T, x).tobytes()
+        assert m.tobytes() == contract_matrix(T, x).tobytes() == reference_matrix(T, x).tobytes()
+    # any leading stack shape
+    G2 = contract_gradient(T, X.reshape(2, 3, N))
+    assert G2.shape == (2, 3, N) and G2.tobytes() == G.tobytes()
+
+
+def singular_start():
+    """p = 2 tensor diag(0, 2, lam), lam the Rayleigh value at x = (0.6, 0.8, 0).
+
+    At that x the Jacobian's third row is (lam - lam, 0, 0, -x_3) = 0, so the
+    Newton solve there is exactly singular, while x is no eigenvector.
+    """
+    x = np.array([0.6, 0.8, 0.0])
+    lam = float(x @ contract_gradient(from_dense(np.diag([0.0, 2.0, 0.0])), x))
+    T = from_dense(np.diag([0.0, 2.0, lam]))
+    J = np.zeros((4, 4))
+    J[:3, :3] = T.to_dense() - lam * np.eye(3)
+    J[:3, 3] = -x
+    J[3, :3] = x
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, np.ones(4))
+    return T, np.array([3.0, 4.0, 0.0])
+
+
+def test_singular_jacobian_drops_only_its_row():
+    T, bad = singular_start()
+    x0 = np.random.default_rng(3).normal(size=(6, 3))
+    x0[2] = bad
+    results = _newton_batch(T, x0, 1e-10)
+    assert results[2] is None
+    assert all(results[i] is not None for i in (0, 1, 3, 4, 5))
+    for row, got in zip(x0, results):
+        assert_same_bits(got, reference_newton(T, row, 1e-10))
+
+
+def test_all_jacobians_singular_warns_and_returns_nothing(monkeypatch):
+    T, bad = singular_start()
+
+    class Starts:
+        def normal(self, size):
+            return np.tile(bad, (size[0], 1)) * np.arange(1.0, size[0] + 1)[:, None]
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Starts())
+    with pytest.warns(UserWarning):
+        pairs = find_real_eigenpairs(T, n_starts=4, seed=0)
     assert pairs == []
 
 

@@ -8,7 +8,6 @@ saddle values of the angular-radial exponent near the locus.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -21,12 +20,10 @@ print(f"  locus below threshold: {res.y_c_below:.8f}")
 print(f"  locus at threshold:    {res.y_c_at:.8f}")
 
 print("\nb-scan of the singular locus:")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    for b in np.arange(0.0, 6.01, 0.5):
-        y_c = singular_locus(p, float(b))
-        marker = " <- jump" if abs(b - res.b_t) < 0.3 else ""
-        print(f"  b = {b:4.2f}: y_c = {y_c:10.6f}{marker}")
+for b in np.arange(0.0, 6.01, 0.5):
+    y_c = singular_locus(p, float(b))
+    marker = " <- jump" if abs(b - res.b_t) < 0.3 else ""
+    print(f"  b = {b:4.2f}: y_c = {y_c:10.6f}{marker}")
 
 print("\nsaddles at the threshold point (w = 3^{3/2}, b = b_t):")
 rep = spike_saddles(p, 3**1.5, math.sqrt(8.0))

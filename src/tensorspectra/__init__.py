@@ -19,7 +19,6 @@ Library layout (one module per subsystem):
 
 from . import annealed, borel, eigenpairs, errors, maps, tensors
 from .fuss_catalan import (
-    DensityEvaluator,
     FussCatalanBranch,
     critical_point,
     density_moment,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,8 @@ __all__ = [
     "spike_saddles",
     "spike_threshold",
     "singular_locus",
+    "LocusReport",
+    "spike_locus",
 ]
 
 QUADRATURE_N_CAP = 10_000
@@ -60,6 +61,11 @@ def _check_w(p, w):
             f"w = {w.real} lies on the real cut [-{support_edge(p)}, {support_edge(p)}]"
         )
     return w
+
+
+def _check_b(b):
+    if not (math.isfinite(b) and b >= 0):
+        raise DomainError(f"b must be finite and >= 0, got {b}")
 
 
 def _tilt_angle(w, p):
@@ -219,9 +225,14 @@ class SaddleReport:
         return self.saddles[self.dominant_index]
 
 
-def _rho_sq_on_curve(p, w, s):
-    """rho^2(theta) from the second saddle equation, s = sin^2(theta)."""
-    u = s ** (1 - p) / w**2
+def _rho_sq_on_curve(p, y, s):
+    """rho^2(theta) from the second saddle equation, s = sin^2(theta), real y.
+
+    s >= s_min keeps u <= u_c, with equality at s_min; there the rounded u
+    can land above u_c by more than fc_branch's 4 eps u_c allowance (seen
+    at p = 6), on the cut, so u is capped at u_c.
+    """
+    u = min(s ** (1 - p) / y**2, critical_point(p))
     return fc_function(p, u) / s
 
 
@@ -241,8 +252,7 @@ def spike_saddles(p: int, w: complex, b: float, n_grid: int = 400) -> SaddleRepo
     """
     if p < 3:
         raise DomainError("the spiked model requires p >= 3")
-    if b < 0:
-        raise DomainError("b must be >= 0")
+    _check_b(b)
     w = _check_w(p, w)
 
     rho0_sq = fc_function(p, 1 / w**2)
@@ -329,43 +339,21 @@ class ThresholdResult:
 
 
 def spike_threshold(p: int) -> ThresholdResult:
-    """Detection threshold b_t, computed analytically and confirmed by bisection.
+    """Detection threshold b_t^2 = (p-1)^p / (p-2)^{p-2}, in closed form.
 
-    b_t^2 = (p-1)^p / (p-2)^{p-2}; it is the smallest b at which
-    max_v h(v) reaches zero, i.e. h develops real roots.  The double root
-    v_m satisfies h(v_m) = h'(v_m) = 0 there.
+    b_t is the smallest b at which max_v h(v) reaches zero, i.e. h develops
+    real roots; there the double root v_m = h_root satisfies
+    h(v_m) = h'(v_m) = 0.
     """
     if p < 3:
         raise DomainError("the detection threshold requires p >= 3")
-    analytic = math.sqrt((p - 1) ** p / (p - 2) ** (p - 2))
-
-    lo, hi = 1e-3, 10.0 * analytic
-    if _h_peak(p, lo)[1] >= 0 or _h_peak(p, hi)[1] < 0:
-        raise RootFindFailure("threshold bisection bracket invalid")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _h_peak(p, mid)[1] >= 0:
-            hi = mid
-        else:
-            lo = mid
-    bisected = 0.5 * (lo + hi)
-    if abs(bisected - analytic) > 1e-8 * analytic:
-        raise RootFindFailure(
-            f"bisected threshold {bisected} disagrees with analytic {analytic}"
-        )
-
-    v_m, h_at = _h_peak(p, analytic)
-    dh = (h_function(p, analytic, v_m * (1 + 1e-6)) - h_function(p, analytic, v_m * (1 - 1e-6))) / (
-        2e-6 * v_m
-    )
-    if abs(h_at) > 1e-10 or abs(dh) > 1e-6:
-        raise RootFindFailure("double-root conditions violated at the threshold")
+    b_t = math.sqrt((p - 1) ** p / (p - 2) ** (p - 2))
     return ThresholdResult(
         p=p,
-        b_t=analytic,
+        b_t=b_t,
         y_c_below=support_edge(p),
         y_c_at=p ** (p / 2),
-        h_root=v_m,
+        h_root=_h_peak(p, b_t)[0],
     )
 
 
@@ -375,19 +363,19 @@ def _y_c_from_root(p, v):
     return v ** (-D / 2) * (p - 1) ** (-(p - 1)) * p ** (p / 2)
 
 
-def singular_locus(p: int, b: float, verify_dominance: bool = True) -> float:
+def singular_locus(p: int, b: float) -> float:
     """Largest non-removable singularity y_c of the spiked resolvent.
 
     Below the threshold the locus is the no-spike edge
     p^{p/2}/(p-1)^{(p-1)/2}; at and above b_t the smaller positive root of
-    h maps to y_c, which jumps to p^{p/2} at b_t and grows with b.  Saddle
-    dominance by Re f is checked at the result; a failure is recorded as a
-    warning (the locus from root continuity is returned regardless).
+    h maps to y_c, which jumps to p^{p/2} at b_t and grows with b.  The
+    theta_1 saddle that is real up to y_c is subdominant by Re f there
+    (criterion 8's finite-N quadrature shows the integral follows theta_0);
+    the root is selected by continuity from b_t, not by dominance.
     """
     if p < 3:
         raise DomainError("the spiked model requires p >= 3")
-    if b < 0:
-        raise DomainError("b must be >= 0")
+    _check_b(b)
     threshold = spike_threshold(p)
     if b < threshold.b_t * (1 - 1e-12):
         return threshold.y_c_below
@@ -403,40 +391,28 @@ def singular_locus(p: int, b: float, verify_dominance: bool = True) -> float:
         if lo < 1e-300:
             raise RootFindFailure("failed to bracket the lower root of h")
     v_minus = brentq(lambda v: h_function(p, b, v), lo, v_m, xtol=1e-300, rtol=1e-15)
-    y_c = _y_c_from_root(p, v_minus)
-
-    if verify_dominance:
-        if not _theta1_dominant_near(p, b, y_c):
-            hi = v_m
-            while h_function(p, b, hi) > 0:
-                hi *= 2
-                if hi > 1e300:
-                    raise RootFindFailure("failed to bracket the upper root of h")
-            v_plus = brentq(lambda v: h_function(p, b, v), v_m, hi, xtol=1e-300, rtol=1e-15)
-            y_other = _y_c_from_root(p, v_plus)
-            if _theta1_dominant_near(p, b, y_other):
-                warnings.warn(
-                    "continuity-selected root fails Re f dominance; the other "
-                    f"h-root ({y_other}) passes and was returned instead",
-                    stacklevel=2,
-                )
-                return y_other
-            warnings.warn(
-                "theta_1 saddle is subdominant by direct Re f at the singular "
-                "locus for both h-roots; returning the continuity-selected root "
-                f"y_c={y_c}",
-                stacklevel=2,
-            )
-    return y_c
+    return _y_c_from_root(p, v_minus)
 
 
-def _theta1_dominant_near(p, b, y_c, rel_offset=1e-3):
-    # the extra saddle is real for y <= y_c (its Fuss-Catalan argument
-    # reaches the branch point exactly at y_c), so probe just below
-    try:
-        report = spike_saddles(p, y_c * (1 - rel_offset), b)
-    except (CutContact, DomainError):
-        return False
-    if len(report.saddles) < 2:
-        return False
-    return report.dominant_index == 1
+@dataclass(frozen=True)
+class LocusReport:
+    """y_c, the extra saddle's (theta, rho^2) at y_c, and the saddles at
+    y_c (1 -/+ 1e-3): inside the locus at and above b_t, where theta_1 is
+    real; outside below b_t, where the locus is the cut endpoint itself."""
+
+    y_c: float
+    theta_c: float
+    rho_c_sq: float
+    probe: SaddleReport
+
+
+def spike_locus(p: int, b: float) -> LocusReport:
+    """The singular locus at SNR b with the saddles beside it."""
+    y_c = singular_locus(p, b)
+    s_c = min(y_c ** (-2 / (p - 1)) * p ** (p / (p - 1)) / (p - 1), 1.0)
+    rho_c_sq = y_c ** (2 / (p - 1)) * p ** (-1 / (p - 1))
+    if b >= spike_threshold(p).b_t:
+        probe = y_c * (1 - 1e-3)
+    else:
+        probe = y_c * (1 + 1e-3)
+    return LocusReport(y_c, math.asin(math.sqrt(s_c)), rho_c_sq, spike_saddles(p, probe, b))

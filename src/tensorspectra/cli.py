@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from importlib import resources
 
@@ -51,7 +50,10 @@ NUMERICAL_ERRORS = (
     SignMismatch,
     CutContact,
     OutsideWedge,
+    ArithmeticError,  # overflow or division by zero at extreme inputs
 )
+# A sweep longer than this is refused rather than built.
+MAX_SWEEP_POINTS = 100_000
 
 
 @lru_cache(maxsize=None)
@@ -104,31 +106,49 @@ def _write(args, text):
             fh.write(text)
 
 
-def _pmap(args, fn, items):
-    threads = getattr(args, "threads", 1)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _parse_sweep(spec):
     """start:stop:step -> inclusive grid (also accepts a single value)."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        values = []
+    if len(values) not in (1, 3):
         raise DomainError(f"sweep must be start:stop:step, got {spec!r}")
-    start, stop, step = (float(v) for v in parts)
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"sweep values must be finite, got {spec!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
         raise DomainError("sweep step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    count = (stop - start) / step + 1e-9
+    if not 0 <= count < MAX_SWEEP_POINTS:
+        raise DomainError(f"sweep {spec!r} must hold 1 to {MAX_SWEEP_POINTS} points")
+    return [start + i * step for i in range(math.floor(count) + 1)]
+
+
+def _points(value, sweep, flag):
+    """The grid of --<flag>-sweep when given, else the single --<flag> value."""
+    if sweep:
+        return _parse_sweep(sweep)
+    if value is None:
+        raise DomainError(f"provide --{flag} or --{flag}-sweep")
+    return [value]
+
+
+def _complex(token):
+    try:
+        return complex(token)
+    except ValueError:
+        raise DomainError(f"not a complex number: {token!r}") from None
 
 
 # ------------------------------------------------------------- subcommands
 
 def cmd_density(args):
+    if args.grid < 1:
+        raise DomainError("--grid must be >= 1")
     edge = fc.support_edge(args.p)
     ys = np.linspace(-edge, edge, args.grid)
     rows = [(float(y), fc.wigner_density(args.p, float(y), method=args.method)) for y in ys]
@@ -136,6 +156,8 @@ def cmd_density(args):
 
 
 def cmd_moments(args):
+    if args.nmax < 0:
+        raise DomainError("--nmax must be >= 0")
     rows = []
     for n in range(args.nmax + 1):
         moment = fc.density_moment(args.p, n)
@@ -147,7 +169,7 @@ def cmd_moments(args):
 def cmd_resolvent(args):
     rows = []
     for token in args.w:
-        w = complex(token)
+        w = _complex(token)
         omega = fc.expected_resolvent(args.p, w)
         rows.append((w.real, w.imag, omega.real, omega.imag))
     _emit_csv(args, ["re_w", "im_w", "re_omega", "im_omega"], rows)
@@ -159,6 +181,8 @@ def cmd_maps(args):
 
 
 def cmd_invariants(args):
+    if args.samples < 0:
+        raise DomainError("--samples must be >= 0")
     exact = maps.wick_expectation(args.p, args.N, args.n)
     if args.samples > 0:
         est = maps.mc_expected_invariant(args.p, args.N, args.n, args.samples, args.seed)
@@ -218,29 +242,15 @@ def cmd_eigen(args):
 
 
 def _spike_row(p, b):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        y_c = annealed.singular_locus(p, b)
-        s_c = min(y_c ** (-2 / (p - 1)) * p ** (p / (p - 1)) / (p - 1), 1.0)
-        theta_c = math.asin(math.sqrt(s_c))
-        rho_c_sq = y_c ** (2 / (p - 1)) * p ** (-1 / (p - 1))
-        # above threshold the extra saddle is real at and below the locus;
-        # below threshold the locus is the cut endpoint itself, so stay above
-        if b >= annealed.spike_threshold(p).b_t:
-            probe = y_c * (1 - 1e-3)
-        else:
-            probe = y_c * (1 + 1e-3)
-        report = annealed.spike_saddles(p, probe, b)
-    f0 = report.saddles[0].f_value.real
-    f1 = report.saddles[1].f_value.real if len(report.saddles) > 1 else None
-    return (p, b, y_c, theta_c, rho_c_sq, report.dominant_index, f0, f1)
+    locus = annealed.spike_locus(p, b)
+    saddles = locus.probe.saddles
+    f1 = saddles[1].f_value.real if len(saddles) > 1 else None
+    return (p, b, locus.y_c, locus.theta_c, locus.rho_c_sq, locus.probe.dominant_index,
+            saddles[0].f_value.real, f1)
 
 
 def cmd_spike(args):
-    bs = _parse_sweep(args.b_sweep) if args.b_sweep else [args.b]
-    if bs is None or (len(bs) == 1 and bs[0] is None):
-        raise DomainError("provide --b or --b-sweep")
-    rows = _pmap(args, lambda b: _spike_row(args.p, b), bs)
+    rows = [_spike_row(args.p, b) for b in _points(args.b, args.b_sweep, "b")]
     _emit_csv(
         args,
         ["p", "b", "y_c", "theta_c", "rho_c_sq", "dominant_saddle", "f0", "f1"],
@@ -249,7 +259,7 @@ def cmd_spike(args):
 
 
 def cmd_annealed(args):
-    w = complex(args.w)
+    w = _complex(args.w)
     saddle = annealed.annealed_resolvent(args.p, w, mode="saddle")
     rows = [(args.p, w.real, 0, "saddle", saddle.real, saddle.imag, 0.0)]
 
@@ -258,7 +268,11 @@ def cmd_annealed(args):
         return (args.p, w.real, N, "quadrature", omega.real, omega.imag, abs(omega - saddle))
 
     if args.N:
-        rows.extend(_pmap(args, one, [int(v) for v in args.N.split(",")]))
+        try:
+            Ns = [int(v) for v in args.N.split(",")]
+        except ValueError:
+            raise DomainError(f"--N must be comma-separated integers, got {args.N!r}") from None
+        rows.extend(one(N) for N in Ns)
     _emit_csv(
         args,
         ["p", "w", "N", "mode", "re_omega", "im_omega", "abs_err_vs_saddle"],
@@ -267,15 +281,13 @@ def cmd_annealed(args):
 
 
 def cmd_borel(args):
-    gs = _parse_sweep(args.g_sweep) if args.g_sweep else [args.g]
-
     def one(g_abs):
         disc = borel.discontinuity(args.p, g_abs, args.q)
         inst = borel.instanton_discontinuity(args.p, g_abs)
         ratio = abs(disc) / abs(inst)
         return (args.p, args.q, g_abs, disc.real, disc.imag, inst.real, inst.imag, ratio)
 
-    rows = _pmap(args, one, gs)
+    rows = [one(g_abs) for g_abs in _points(args.g, args.g_sweep, "g")]
     columns = ["p", "q", "g_abs", "re_disc", "im_disc", "instanton_re", "instanton_im", "ratio"]
     if args.format == "json":
         _emit_json(args, [dict(zip(columns, row)) for row in rows])
@@ -305,7 +317,6 @@ def build_parser():
         sp.set_defaults(func=fn)
         sp.add_argument("--output", help="output file; relative paths resolve in $TENSORSPECTRA_OUTDIR")
         sp.add_argument("--format", choices=("csv", "json"), default=defaults.get("format", "csv"))
-        sp.add_argument("--threads", type=int, default=1, help="worker cap for sweeps")
         return sp
 
     sp = add("density", cmd_density)

@@ -32,7 +32,6 @@ from .errors import (
 
 __all__ = [
     "FussCatalanBranch",
-    "DensityEvaluator",
     "critical_point",
     "support_edge",
     "fuss_catalan_number",
@@ -437,40 +436,3 @@ def density_moment(p: int, n: int, tol: float = 1e-7) -> float:
             error_estimate=err,
         )
     return val
-
-
-@dataclass
-class DensityEvaluator:
-    """Branch-tracked evaluation state for one tensor order p.
-
-    Bundles the algebraic constants (u_c and the support edge satisfy
-    edge^2 * u_c = 1 exactly) with the density/resolvent evaluators.
-    """
-
-    p: int
-    method: str = "auto"
-    u_c: float = field(init=False)
-    support_edge: float = field(init=False)
-
-    def __post_init__(self):
-        _check_order(self.p)
-        self.u_c = critical_point(self.p)
-        self.support_edge = support_edge(self.p)
-
-    def fc(self, u):
-        # the density's "hypergeometric" route corresponds to the series
-        # evaluation of T_p itself
-        method = "series" if self.method == "hypergeometric" else self.method
-        return fc_function(self.p, u, method=method)
-
-    def pp(self, x):
-        return pp_density(self.p, x, method=self.method)
-
-    def density(self, y):
-        return wigner_density(self.p, y, method=self.method)
-
-    def resolvent(self, w):
-        return expected_resolvent(self.p, w)
-
-    def moment(self, n):
-        return density_moment(self.p, n)

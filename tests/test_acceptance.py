@@ -7,7 +7,6 @@ lines.  Tolerances are pinned here and nowhere else.
 import itertools
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -336,10 +335,8 @@ def test_criterion_08_spike_threshold():
         res = spike_threshold(p)
         if abs(res.b_t - analytic) > 1e-8:
             failures.append(f"p={p} b_t mismatch")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            below = singular_locus(p, 0.5 * analytic)
-            at = singular_locus(p, analytic)
+        below = singular_locus(p, 0.5 * analytic)
+        at = singular_locus(p, analytic)
         if abs(below - p ** (p / 2) / (p - 1) ** ((p - 1) / 2)) > 1e-8:
             failures.append(f"p={p} y_c below threshold")
         if abs(at - p ** (p / 2)) > 1e-8 * p ** (p / 2):

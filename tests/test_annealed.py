@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -190,7 +189,14 @@ def test_spike_saddles_validation():
 
 @pytest.mark.parametrize(
     "p,b_t",
-    [(3, math.sqrt(8.0)), (4, 4.5), (5, math.sqrt(4**5 / 3**3))],
+    [
+        (3, math.sqrt(8.0)),
+        (4, 4.5),
+        (5, math.sqrt(4**5 / 3**3)),
+        (6, 125 / 16),
+        (7, math.sqrt(6**7 / 5**5)),
+        (8, 2401 / 216),
+    ],
 )
 def test_threshold_values(p, b_t):
     res = spike_threshold(p)
@@ -200,7 +206,7 @@ def test_threshold_values(p, b_t):
 
 
 def test_threshold_double_root():
-    for p in (3, 4, 5):
+    for p in range(3, 9):
         res = spike_threshold(p)
         v_m = res.h_root
         assert abs(h_function(p, res.b_t, v_m)) < 1e-10
@@ -231,9 +237,7 @@ def test_singular_locus_at_threshold():
 
 def test_singular_locus_continuous_from_above():
     b_t = math.sqrt(8.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals = [singular_locus(3, b_t * (1 + eps)) for eps in (1e-6, 1e-8)]
+    vals = [singular_locus(3, b_t * (1 + eps)) for eps in (1e-6, 1e-8)]
     for v in vals:
         assert v == pytest.approx(3**1.5, rel=1e-2)
     assert abs(vals[1] - 3**1.5) < abs(vals[0] - 3**1.5)
@@ -241,9 +245,7 @@ def test_singular_locus_continuous_from_above():
 
 def test_singular_locus_monotone_above_threshold():
     b_t = math.sqrt(8.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = [singular_locus(3, b) for b in np.linspace(b_t, 10 * b_t, 30)]
+    grid = [singular_locus(3, b) for b in np.linspace(b_t, 10 * b_t, 30)]
     assert all(b < a for b, a in zip(grid, grid[1:]))
     assert grid[-1] > 100  # grows without bound
 
@@ -251,21 +253,43 @@ def test_singular_locus_monotone_above_threshold():
 def test_theta1_exists_below_locus_only():
     # the extra saddle's Fuss-Catalan argument reaches the branch point
     # exactly at y_c: real theta_1 for y <= y_c, gone above
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        y_c = singular_locus(3, 3.0)
+    y_c = singular_locus(3, 3.0)
     below = spike_saddles(3, y_c * (1 - 1e-3), 3.0)
     above = spike_saddles(3, y_c * (1 + 1e-3), 3.0)
     assert len(below.saddles) == 2
     assert len(above.saddles) == 1 and above.theta1_error is not None
 
 
-def test_singular_locus_records_dominance_outcome():
-    # with f evaluated directly, the theta_1 saddle is subdominant by Re f at
-    # the locus; the implementation keeps the continuity-selected root and
-    # records the event
-    with pytest.warns(UserWarning, match="subdominant"):
-        singular_locus(3, 4.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert singular_locus(3, 4.0) == singular_locus(3, 4.0, verify_dominance=False)
+@pytest.mark.parametrize(
+    "p,b,y_c_hex",
+    [
+        (3, 3.0, "0x1.f2d4a45635643p+2"),
+        (3, 4.0, "0x1.1bda35ea48931p+4"),
+        (3, 12.0, "0x1.70da426d8505dp+7"),
+        (4, 5.0, "0x1.49fbda7e474f9p+5"),
+        (5, 8.0, "0x1.0e8a459118a00p+9"),
+        (6, 15.0, "0x1.3fd55489f43e0p+15"),
+    ],
+)
+def test_singular_locus_values_above_threshold(p, b, y_c_hex):
+    # bit-exact values of the continuity-selected h-root, frozen from the
+    # implementation that also ran a Re f dominance check beside it
+    assert singular_locus(p, b).hex() == y_c_hex
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -1.0])
+def test_spike_rejects_bad_b(b):
+    with pytest.raises(DomainError):
+        singular_locus(3, b)
+    with pytest.raises(DomainError):
+        spike_saddles(3, 9.0, b)
+
+
+def test_theta1_found_where_u_rounds_past_the_branch_point():
+    # at p = 6 the s = s_min endpoint's u = s^{1-p}/y^2 rounds above u_c
+    y = singular_locus(6, 9.5) * (1 - 1e-3)
+    rep = spike_saddles(6, y, 9.5)
+    assert len(rep.saddles) == 2
+    for s in rep.saddles:
+        r1, r2 = saddle_equation_residuals(6, y, 9.5, s.theta, s.rho_sq)
+        assert max(abs(r1), abs(r2)) < 1e-8

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tensorspectra.cli import main
 
@@ -13,6 +15,14 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv):
+    """The process exit code main(argv) gives, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_density_csv(capsys):
@@ -135,6 +145,124 @@ def test_spike_sweep_shows_jump(capsys):
     above = [y for b, y in zip(bs, ycs) if b > b_t + 0.01]
     assert all(abs(y - math.sqrt(27 / 4)) < 1e-9 for y in below)
     assert all(y > 3**1.5 - 1e-9 for y in above)
+
+
+def test_spike_p6_branch_point_rounding(capsys):
+    # theta_1's search endpoint sits on T_6's branch point; the rounded
+    # argument used to land on the cut and exit 3
+    code, out = run_cli(["spike", "--p", "6", "--b", "9.5"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[3].split(",")
+    assert math.isfinite(float(row[2])) and float(row[2]) > 6**3
+    assert row[7] != ""  # theta_1 found just inside the locus
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolvent", "--p", "3", "--w", "abc"],
+        ["annealed", "--p", "3", "--w", "x"],
+        ["annealed", "--p", "3", "--w", "5", "--N", "5,"],
+        ["borel", "--p", "3"],
+        ["moments", "--p", "3", "--nmax", "-1"],
+        ["density", "--p", "3", "--grid", "0"],
+        ["density", "--p", "3", "--grid", "-5"],
+        ["invariants", "--p", "3", "--N", "4", "--n", "2", "--samples", "-1"],
+        ["spike", "--p", "3", "--b-sweep", "1:0:0.1"],
+        ["borel", "--p", "3", "--g-sweep", "1:0:0.1"],
+        ["spike", "--p", "3", "--b", "nan"],
+        ["spike", "--p", "3", "--b", "inf"],
+        ["spike", "--p", "3", "--b-sweep", "0:nan:0.1"],
+        ["spike", "--p", "3", "--b-sweep", "0:1:1e-300"],
+    ],
+)
+def test_invalid_input_exits_2_without_output(capsys, argv):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolvent", "--p", "3", "--w", "1e-300j"],  # w^2 underflows to 0
+        ["borel", "--p", "3", "--g", "1e-300"],
+    ],
+)
+def test_arithmetic_error_exits_3(capsys, argv):
+    assert exit_code(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+
+
+def test_threads_flag_is_gone(capsys):
+    assert exit_code(["spike", "--p", "3", "--b", "1", "--threads", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    st.sampled_from(["0", "-0", "1e-320", "1e308", "nan", "inf", "-inf", "1j", "2+1e-300j"]),
+    st.text(max_size=8),
+)
+TOKENS = st.one_of(JUNK, st.integers(-10**6, 10**6).map(str))
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def counts(lo, hi):
+    """Integer flag values in [lo, hi] (moments and density take minutes at
+    p in the thousands), or values that are not integers at all."""
+    return st.one_of(st.integers(lo, hi).map(str), JUNK.filter(_not_an_int))
+
+
+# start:stop:step with at most ~40 points when well formed, or a malformed spec
+SWEEPS = st.one_of(
+    TOKENS,
+    st.tuples(
+        st.one_of(st.integers(-5, 15).map(str), TOKENS),
+        st.one_of(st.integers(-5, 15).map(str), TOKENS),
+        st.sampled_from(["0.5", "1", "7", "0", "-1", "nan", "inf", "1e-300", "x"]),
+    ).map(":".join),
+)
+
+
+@st.composite
+def cheap_invocations(draw):
+    command = draw(st.sampled_from(["resolvent", "moments", "density", "spike", "borel"]))
+    argv = [command, "--p", draw(counts(-2, 9))]
+    if command == "resolvent":
+        for token in draw(st.lists(TOKENS, min_size=1, max_size=3)):
+            argv.append(f"--w={token}")
+    elif command == "moments":
+        argv.append(f"--nmax={draw(counts(-3, 8))}")
+    elif command == "density":
+        argv.append(f"--grid={draw(counts(-3, 50))}")
+    else:
+        name = "b" if command == "spike" else "g"
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(TOKENS)}")
+        if draw(st.booleans()):
+            argv.append(f"--{name}-sweep={draw(SWEEPS)}")
+        if command == "borel" and draw(st.booleans()):
+            argv.append(f"--q={draw(counts(-1, 4))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cheap_invocations())
+def test_every_invocation_exits_0_2_or_3(capsys, argv):
+    code = exit_code(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3)
+    assert (out != "") == (code == 0)
 
 
 def test_annealed_subcommand(capsys):

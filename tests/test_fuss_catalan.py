@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tensorspectra import (
-    DensityEvaluator,
     critical_point,
     density_moment,
     expected_resolvent,
@@ -310,13 +309,6 @@ def test_odd_moments_vanish():
 # ---------------------------------------------------------------- constants
 
 def test_support_edge_identity():
+    assert critical_point(3) == pytest.approx(4 / 27, abs=1e-16)
     for p in range(2, 9):
         assert abs(support_edge(p) ** 2 * critical_point(p) - 1.0) < 1e-14
-
-
-def test_density_evaluator_state():
-    ev = DensityEvaluator(3)
-    assert ev.u_c == pytest.approx(4 / 27, abs=1e-16)
-    assert ev.support_edge**2 * ev.u_c == pytest.approx(1.0, abs=1e-14)
-    assert ev.density(1.0) == pytest.approx(wigner_density(3, 1.0), abs=1e-14)
-    assert ev.resolvent(4.0) == pytest.approx(expected_resolvent(3, 4.0), abs=1e-14)

@@ -249,6 +249,13 @@ def test_matrix_resolvent_frozen_values():
     assert matrix_resolvent(offdiag, 2.0) == pytest.approx(2 / 3)
 
 
+def test_matrix_resolvent_matches_inverse_trace():
+    T = sample_goe(2, 7, seed=3)
+    for w in (3.0, 0.4 + 0.2j, -1.5j):
+        expected = np.trace(np.linalg.inv(w * np.eye(7) - T.to_dense())) / 7
+        assert abs(matrix_resolvent(T, w) - expected) < 1e-13
+
+
 def test_matrix_resolvent_near_singular():
     diag = from_dense(np.diag([1.0, 2.0]))
     with pytest.raises(NearSingular):

@@ -21,16 +21,16 @@ print("support edges:")
 for p in (2, 3, 4, 5):
     print(f"  p={p}: edge = {support_edge(p):.6f}")
 
-print("\ndensity profiles (two independent evaluation routes):")
+print("\ndensity profiles (parametric route against the branch-tracked one):")
 for p in (2, 3):
     edge = support_edge(p)
     ys = np.linspace(0.1, 0.98 * edge, 6)
     for y in ys:
-        series_route = wigner_density(p, float(y))
-        root_route = wigner_density_roots(p, float(y))
+        parametric = wigner_density(p, float(y))
+        branch_tracked = wigner_density_roots(p, float(y))
         print(
-            f"  p={p} y={y:6.3f}: rho={series_route:.12f}"
-            f"  (route difference {abs(series_route - root_route):.1e})"
+            f"  p={p} y={y:6.3f}: rho={parametric:.12f}"
+            f"  (route difference {abs(parametric - branch_tracked):.1e})"
         )
 
 print("\nsemicircle check at p=2, y=1:", wigner_density(2, 1.0), "=", "sqrt(3)/(2 pi)")

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CutContact, DomainError, QuadratureFailure, RootFindFailure
-from .fuss_catalan import critical_point, fc_function, support_edge
+from .fuss_catalan import critical_point, fc_function, gl_panel, support_edge
 
 __all__ = [
     "SaddlePoint",
@@ -76,12 +76,6 @@ def _tilt_angle(w, p):
 
 def _radial_f(p, w, rho):
     return np.log(rho) - rho**2 / 2 + rho ** (2 * p) / (2 * p * w**2)
-
-
-def _gl_panel(func, a, b, order):
-    x, wts = np.polynomial.legendre.leggauss(order)
-    mid, half = (a + b) / 2, (b - a) / 2
-    return half * np.sum(wts * func(mid + half * x))
 
 
 def annealed_logZ(p: int, w: complex, N: int, mode: str = "saddle") -> complex:
@@ -142,10 +136,10 @@ def annealed_logZ(p: int, w: complex, N: int, mode: str = "saddle") -> complex:
         total = 0.0 + 0j
         for a, b in zip(cuts1[:-1], cuts1[1:]):
             if b > a:
-                total += _gl_panel(leg1, a, b, order)
+                total += gl_panel(leg1, a, b, order)
         for a, b in zip(cuts2[:-1], cuts2[1:]):
             if b > a:
-                total += _gl_panel(leg2, a, b, order)
+                total += gl_panel(leg2, a, b, order)
         if prev is not None and abs(total - prev) <= 1e-13 * abs(total):
             prev = total
             break

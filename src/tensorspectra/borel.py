@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, OutsideWedge, ParityError, QuadratureFailure
+from .fuss_catalan import gl_panel
 
 __all__ = [
     "SectorSpec",
@@ -130,19 +131,11 @@ def _line_quadrature(coef2, coefp, p, contour, rtol=1e-12):
     def integrand(x):
         return np.exp(-coef2 * x**2 / 2 + coefp * x**p)
 
-    glx, glw = {}, {}
-
-    def panel(a, b, order):
-        if order not in glx:
-            glx[order], glw[order] = np.polynomial.legendre.leggauss(order)
-        mid, half = (a + b) / 2, (b - a) / 2
-        return half * np.sum(glw[order] * integrand(mid + half * glx[order]))
-
     prev = None
     npanels = max(8, contour.nodes // 32)
     for _ in range(10):
         edges = np.linspace(-R, R, npanels + 1)
-        total = sum(panel(a, b, 32) for a, b in zip(edges[:-1], edges[1:]))
+        total = sum(gl_panel(integrand, a, b, 32) for a, b in zip(edges[:-1], edges[1:]))
         if prev is not None and abs(total - prev) <= rtol * max(abs(total), 1e-8):
             return total / math.sqrt(2 * math.pi)
         prev = total

@@ -151,7 +151,7 @@ def cmd_density(args):
         raise DomainError("--grid must be >= 1")
     edge = fc.support_edge(args.p)
     ys = np.linspace(-edge, edge, args.grid)
-    rows = [(float(y), fc.wigner_density(args.p, float(y), method=args.method)) for y in ys]
+    rows = [(float(y), fc.wigner_density(args.p, float(y))) for y in ys]
     _emit_csv(args, ["y", "rho"], rows)
 
 
@@ -322,7 +322,6 @@ def build_parser():
     sp = add("density", cmd_density)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--grid", type=int, default=400)
-    sp.add_argument("--method", choices=("auto", "hypergeometric", "root_tracking"), default="auto")
 
     sp = add("moments", cmd_moments)
     sp.add_argument("--p", type=int, required=True)

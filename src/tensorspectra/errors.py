@@ -24,10 +24,6 @@ class BranchTrackingFailed(TensorSpectraError):
         self.last_good = last_good
 
 
-class EndpointRegime(TensorSpectraError):
-    """Series evaluation requested too close to the support endpoint."""
-
-
 class QuadratureFailure(TensorSpectraError):
     """Numerical integration did not reach the requested accuracy."""
 

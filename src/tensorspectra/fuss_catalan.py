@@ -7,27 +7,27 @@ numbers, the even spectral density rho(y) = |y| * P_p(y^2) supported on
 (-edge, +edge) with edge = p^{p/2}/(p-1)^{(p-1)/2}, and the expected
 resolvent omega(w) = T_p(w^{-2})/w.
 
-Two independent evaluation routes are kept for the density: a
-hypergeometric power series (reliable away from the support endpoint)
-and a branch-tracked polynomial root ("root tracking", reliable
-everywhere including the endpoint).  Tests cross-check them.
+The density has one evaluation route, the parametric form of P_p in an
+angle phi (pp_density), which holds at every p; density_moment
+integrates in the same angle.  The branch-tracked boundary value of T_p
+(wigner_density_roots) is an independent route that tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn
 
 from .errors import (
     BranchTrackingFailed,
     CutContact,
     DomainError,
-    EndpointRegime,
     QuadratureFailure,
+    RootFindFailure,
 )
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
     "expected_resolvent",
     "density_moment",
 ]
-
-# Hypergeometric series declared unreliable beyond this fraction of the
-# critical coupling; the root-tracked density takes over there.
-SERIES_SAFETY_BOUND = 0.95
 
 _RESIDUAL_TOL = 1e-12
 
@@ -259,96 +255,100 @@ def fc_function_boundary(p: int, u0: float, side: int = +1) -> complex:
     return t
 
 
-def _lambda_coefficient(k: int, p: int) -> float:
-    """Coefficient of the x^{(k-p)/p} term of P_p in log-Gamma arithmetic.
+# (k, c_k) with sin(a)/a = 1 + sum c_k a^(2k), highest k first; 11 terms
+# reach full double precision for |a| <= pi/2.
+_SINC_TERMS = tuple((k, (-1) ** k / math.factorial(2 * k + 1)) for k in range(11, 0, -1))
 
-    Gamma((j-k)/p) has negative arguments for j < k; magnitudes go through
-    gammaln (log of |Gamma|) and the signs are handled explicitly.
+
+def _log_sinc(a, xp):
+    """log(sin(a)/a) and its derivative cot(a) - 1/a for 0 < a <= pi/2, from
+    the Taylor series, so both keep full relative precision as a -> 0."""
+    a2 = a * a
+    s = ds = 0.0
+    for k, c in _SINC_TERMS:
+        s = (s + c) * a2
+        ds = (ds + 2 * k * c) * a2
+    return xp.log1p(s), ds / (a * (1 + s))
+
+
+def _curve(p, t, from_origin, xp=math):
+    """(log_x, d log_x/dt, sin phi, sin((p-1) phi), sin(p phi)) at one point
+    of pp_density's curve, for a scalar t (xp = math) or an array (numpy).
+
+    phi = pi/p - t on the half next to the origin and phi = t on the half
+    next to the edge, t in (0, pi/(2p)], so every sine keeps full relative
+    precision.  log_x is log x(phi) near the origin and log(u_c x(phi)) near
+    the edge, where it is about -p(p-1) phi^2/2 and log sin terms would cancel.
     """
-    u_c = critical_point(p)
-    logmag = 0.0
-    sign = 1.0
-    for j in range(1, p):
-        if j == k:
-            continue
-        a = (j - k) / p
-        logmag += gammaln(a)
-        sign *= gammasgn(a)
-    for j in range(1, p):
-        a = (j + 1) / (p - 1) - k / p
-        logmag -= gammaln(a)
-        sign /= gammasgn(a)
-    pref = (p - 1) ** (-1.5) * math.sqrt(p / (2 * math.pi)) * u_c ** (k / p)
-    return pref * sign * math.exp(logmag)
+    q = p - 1
+    sp = xp.sin(p * t)
+    if from_origin:
+        phi = math.pi / p - t
+        s1, sq = xp.sin(phi), xp.sin(math.pi / p + q * t)
+        log_x = p * xp.log(sp) - xp.log(s1) - q * xp.log(sq)
+        # -(p^2 cot(p phi) - cot(phi) - q^2 cot(q phi)) as a sum of positive terms
+        slope = q * q * s1 / (sp * sq) + (2 * p - 1) * xp.cos(p * t) / sp + xp.cos(phi) / s1
+    else:
+        s1, sq = xp.sin(t), xp.sin(q * t)
+        (lp, gp), (l1, g1), (lq, gq) = _log_sinc(p * t, xp), _log_sinc(t, xp), _log_sinc(q * t, xp)
+        log_x = p * lp - l1 - q * lq
+        slope = p * p * gp - g1 - q * q * gq
+    return log_x, slope, s1, sq, sp
 
 
-def _pfq_series(a_list, b_list, z, rtol=1e-16, nmax=200_000):
-    """Generalized hypergeometric sum by direct term recursion."""
-    term = 1.0
-    total = 1.0
-    for n in range(nmax):
-        ratio = z / (n + 1)
-        for a in a_list:
-            ratio *= a + n
-        for b in b_list:
-            ratio /= b + n
-        term *= ratio
-        total += term
-        if abs(term) <= rtol * abs(total):
-            return total
-    raise EndpointRegime(f"hypergeometric series stalled at z={z}")
-
-
-def _pp_hypergeometric(p, x):
-    u_c = critical_point(p)
-    z = u_c * x
-    total = 0.0
-    for k in range(1, p):
-        a_list = [1 - (1 + j) / (p - 1) + k / p for j in range(1, p)]
-        b_list = [1 + (k - j) / p for j in range(1, p) if j != k]
-        total += _lambda_coefficient(k, p) * x ** ((k - p) / p) * _pfq_series(a_list, b_list, z)
-    return total
-
-
-def _pp_root_tracked(p, x):
-    # P_p(x) = Im T_p(1/x + i0) / (pi * x); the +i0 side makes it positive
-    t_plus = fc_function_boundary(p, 1.0 / x, side=+1)
-    val = t_plus.imag / (math.pi * x)
-    return max(val, 0.0)
-
-
-def pp_density(p: int, x: float, method: str = "auto") -> float:
+def pp_density(p: int, x: float) -> float:
     """The positive Fuss-Catalan density P_p on (0, 1/u_c].
 
-    Moments of P_p against x^n are the Fuss-Catalan numbers F_p(n).
-    method="hypergeometric" raises EndpointRegime for u_c*x > 0.95 where
-    the series route is declared unreliable; "auto" switches to the
-    root-tracked evaluation there.
+    Moments of P_p against x^n are the Fuss-Catalan numbers F_p(n).  Uses
+    the parametrization of the support by phi in (0, pi/p) (Haagerup and
+    Moller, arXiv:1211.4457; Mlotkowski, Doc. Math. 15, 2010):
+
+        x(phi) = sin(p phi)^p / (sin(phi) sin((p-1) phi)^(p-1))
+        P_p(x) = x^(-(p-1)/p) sin(phi)^((p+1)/p) / (pi sin((p-1) phi)^(1/p))
+
+    phi(x) is found by safeguarded Newton in log x, and P_p is evaluated in
+    logs, so nothing overflows or cancels at any p.
     """
     _check_order(p)
     x = float(x)
     u_c = critical_point(p)
     if not 0.0 < x <= 1.0 / u_c:
         raise DomainError(f"x={x} outside the support (0, {1/u_c}]")
-    if x == 1.0 / u_c:
-        return 0.0
     z = u_c * x
-    if method == "hypergeometric":
-        if z > SERIES_SAFETY_BOUND:
-            raise EndpointRegime(
-                f"u_c*x = {z} > {SERIES_SAFETY_BOUND}: use root tracking near the endpoint"
-            )
-        return max(_pp_hypergeometric(p, x), 0.0)
-    if method == "root_tracking":
-        return _pp_root_tracked(p, x)
-    if method == "auto":
-        if z <= SERIES_SAFETY_BOUND:
-            return max(_pp_hypergeometric(p, x), 0.0)
-        return _pp_root_tracked(p, x)
-    raise DomainError(f"unknown method {method!r}")
+    if z >= 1.0 or x == 1.0 / u_c:
+        return 0.0
+    log_x = math.log(x)
+    lo, hi = 0.0, math.pi / (2 * p)
+    # the curve's midpoint t = hi, where sin(p phi) = 1, picks the half
+    from_origin = log_x < -math.log(math.sin(hi)) - (p - 1) * math.log(math.cos(hi))
+    if from_origin:
+        target = log_x
+        t = min(hi, math.sin(math.pi / p) * math.exp(log_x / p) / p)
+    else:
+        target = math.log(z)
+        t = min(hi, math.sqrt(-2.0 * target / (p * (p - 1))))
+    eps = 4 * np.finfo(float).eps
+    for _ in range(200):
+        value, slope, s1, sq, _ = _curve(p, t, from_origin)
+        resid = value - target
+        # log_x rises with t from the origin and falls with t from the edge
+        if (resid < 0) == from_origin:
+            lo = t
+        else:
+            hi = t
+        step = resid / slope
+        if abs(step) <= eps * t or hi - lo <= eps * hi:
+            break
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    else:
+        raise RootFindFailure(f"parametric inversion for P_{p} did not converge at x={x}")
+    log_p = (-(p - 1) * log_x + (p + 1) * math.log(s1) - math.log(sq)) / p
+    return math.exp(log_p - math.log(math.pi))
 
 
-def wigner_density(p: int, y: float, method: str = "auto") -> float:
+def wigner_density(p: int, y: float) -> float:
     """Generalized Wigner spectral density rho(y) = |y| P_p(y^2).
 
     Even in y, supported on the open interval (-edge, edge), normalized to
@@ -362,14 +362,14 @@ def wigner_density(p: int, y: float, method: str = "auto") -> float:
         return 0.0
     if y == 0.0:
         return 1.0 / math.pi if p == 2 else math.inf
-    return abs(y) * pp_density(p, y * y, method=method)
+    return abs(y) * pp_density(p, y * y)
 
 
 def wigner_density_roots(p: int, y: float) -> float:
     """Spectral density from the boundary value of the resolvent.
 
     Evaluates (1/pi) Im omega(y - i0+) by branch tracking T_p around its
-    branch point; independent of the hypergeometric route.
+    branch point; independent of the parametric route of wigner_density.
     """
     _check_order(p)
     y = float(y)
@@ -402,37 +402,52 @@ def density_moment(p: int, n: int, tol: float = 1e-7) -> float:
     """Even moment of the spectral density: integral of y^{2n} rho(y) dy.
 
     Equals fuss_catalan_number(p, n) up to quadrature error (absolute
-    tolerance `tol`).  Integration is done in x = y^2 against P_p with the
-    substitution x = sin(t)^2/u_c, which absorbs the square-root vanishing
-    at the soft edge.
+    tolerance `tol`).  x^n P_p(x) dx is integrated in pp_density's angle,
+    where P_p |dx/dphi| = sin(phi) sin(p phi) |d log x/dphi| / (pi sin((p-1) phi))
+    is smooth; the Gauss-Legendre order doubles until two orders agree to `tol`.
     """
     _check_order(p)
     if n < 0:
         raise DomainError("moment order must be nonnegative")
-    u_c = critical_point(p)
-    xmax = 1.0 / u_c
+    half = math.pi / (2 * p)
+    edge_scale = critical_point(p) ** -n  # the edge half's log_x is log(u_c x)
 
-    def integrand(t):
-        st = math.sin(t)
-        x = xmax * st * st
-        if x <= 0.0 or x >= xmax:
-            return 0.0
-        # dx = 2*xmax*sin(t)*cos(t) dt
-        return (x**n) * pp_density(p, x) * 2.0 * xmax * st * math.cos(t)
+    def weighted(t, from_origin):
+        log_x, slope, s1, sq, sp = _curve(p, t, from_origin, np)
+        return np.exp(n * log_x) * s1 * sp * np.abs(slope) / (math.pi * sq)
 
-    res = quad(
-        integrand,
-        0.0,
-        math.pi / 2,
-        epsabs=0.1 * tol,
-        epsrel=1e-13,
-        limit=300,
-        full_output=1,
+    def origin(s):
+        # t = half s^2 moves the nodes away from the pole of 1/sin((p-1) phi)
+        # at t = -pi/(p(p-1)), just past this half's end
+        return 2 * half * s * weighted(half * s * s, True)
+
+    def edge(t):
+        return edge_scale * weighted(t, False)
+
+    prev = None
+    for order in (16, 32, 64, 128, 256, 512, 1024):
+        val = gl_panel(origin, 0.0, 1.0, order) + gl_panel(edge, 0.0, half, order)
+        err = math.inf if prev is None else abs(val - prev)
+        if err <= tol:
+            return float(val)
+        prev = val
+    raise QuadratureFailure(
+        f"moment quadrature error estimate {err} above tolerance {tol}",
+        error_estimate=err,
     )
-    val, err = res[0], res[1]
-    if err > tol:
-        raise QuadratureFailure(
-            f"moment quadrature error estimate {err} above tolerance {tol}",
-            error_estimate=err,
-        )
-    return val
+
+
+@lru_cache(maxsize=None)
+def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gl_panel(func, a, b, order):
+    """Gauss-Legendre rule of the given order for the integral of func over [a, b]."""
+    x, wts = _gl_nodes(order)
+    mid, half = (a + b) / 2, (b - a) / 2
+    return half * np.sum(wts * func(mid + half * x))

@@ -84,19 +84,19 @@ def p3_closed(x):
 
 def test_criterion_03_p3_closed_form():
     u_c = critical_point(3)
-    hyp_grid = np.linspace(0.01 / u_c, 0.95 / u_c, 100)
-    worst_hyp = max(
-        abs(pp_density(3, float(x), method="hypergeometric") - p3_closed(float(x)))
-        for x in hyp_grid
-    )
+    inner_grid = np.linspace(0.01 / u_c, 0.95 / u_c, 100)
     root_grid = np.linspace(0.01 / u_c, 0.999 / u_c, 100)
+    worst_pp = max(
+        abs(pp_density(3, float(x)) - p3_closed(float(x)))
+        for x in np.concatenate([inner_grid, root_grid])
+    )
     worst_root = max(
-        abs(pp_density(3, float(x), method="root_tracking") - p3_closed(float(x)))
+        abs(wigner_density_roots(3, math.sqrt(x)) / math.sqrt(x) - p3_closed(float(x)))
         for x in root_grid
     )
-    ok = worst_hyp < 1e-10 and worst_root < 1e-8
+    ok = worst_pp < 1e-10 and worst_root < 1e-8
     assert report(
-        3, ok, f"P_3 closed form: hypergeometric {worst_hyp:.2e}, root-tracked {worst_root:.2e}"
+        3, ok, f"P_3 closed form: parametric {worst_pp:.2e}, root-tracked {worst_root:.2e}"
     )
 
 

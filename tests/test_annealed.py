@@ -10,6 +10,7 @@ from tensorspectra.annealed import (
     saddle_equation_residuals,
     singular_locus,
     spike_f,
+    spike_locus,
     spike_saddles,
     spike_threshold,
 )
@@ -293,3 +294,13 @@ def test_theta1_found_where_u_rounds_past_the_branch_point():
     for s in rep.saddles:
         r1, r2 = saddle_equation_residuals(6, y, 9.5, s.theta, s.rho_sq)
         assert max(abs(r1), abs(r2)) < 1e-8
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_spike_locus_probe_side(p):
+    # the dominant_saddle, f0 and f1 columns are read at this probe:
+    # y_c (1 - 1e-3) at and above b_t, y_c (1 + 1e-3) below it
+    b_t = spike_threshold(p).b_t
+    below, above = spike_locus(p, 0.5 * b_t), spike_locus(p, 2.0 * b_t)
+    assert below.probe.w == below.y_c * (1 + 1e-3)
+    assert above.probe.w == above.y_c * (1 - 1e-3)

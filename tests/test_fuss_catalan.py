@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from tensorspectra import (
     wigner_density,
     wigner_density_roots,
 )
-from tensorspectra.errors import CutContact, DomainError, EndpointRegime
+from tensorspectra.errors import CutContact, DomainError
 from tensorspectra.fuss_catalan import fc_branch
 
 
@@ -172,14 +173,19 @@ def test_pp_density_frozen_points():
     assert pp_density(3, 1.0) == pytest.approx(p3_density_closed(1.0), abs=1e-10)
 
 
+def pp_from_roots(p, x):
+    """P_p from the branch-tracked boundary value of T_p: rho(sqrt x)/sqrt x."""
+    return wigner_density_roots(p, math.sqrt(x)) / math.sqrt(x)
+
+
 @pytest.mark.parametrize("p,closed", [(2, p2_density_closed), (3, p3_density_closed)])
 def test_pp_hypergeometric_matches_closed_forms(p, closed):
+    # the name predates the single parametric route; it now covers the
+    # whole grid up to the endpoint
     u_c = critical_point(p)
-    grid = np.linspace(0.01 / u_c, 0.95 / u_c, 100)
+    grid = np.linspace(0.01 / u_c, 0.999 / u_c, 100)
     for x in grid:
-        assert pp_density(p, x, method="hypergeometric") == pytest.approx(
-            closed(x), abs=1e-10
-        )
+        assert pp_density(p, x) == pytest.approx(closed(x), abs=1e-10)
 
 
 @pytest.mark.parametrize("p,closed", [(2, p2_density_closed), (3, p3_density_closed)])
@@ -187,30 +193,61 @@ def test_pp_root_tracking_matches_closed_forms_to_endpoint(p, closed):
     u_c = critical_point(p)
     grid = np.linspace(0.01 / u_c, 0.999 / u_c, 60)
     for x in grid:
-        assert pp_density(p, x, method="root_tracking") == pytest.approx(
-            closed(x), abs=1e-8
-        )
+        assert pp_from_roots(p, x) == pytest.approx(closed(x), abs=1e-8)
 
 
 def test_pp_methods_agree_on_overlap():
     for p in (2, 3, 4, 5):
         u_c = critical_point(p)
         for x in np.linspace(0.05 / u_c, 0.94 / u_c, 25):
-            a = pp_density(p, x, method="hypergeometric")
-            b = pp_density(p, x, method="root_tracking")
-            assert abs(a - b) < 1e-8
+            assert abs(pp_density(p, x) - pp_from_roots(p, x)) < 1e-8
 
 
 def test_pp_endpoint_regime_and_domain_errors():
     u_c = critical_point(3)
-    with pytest.raises(EndpointRegime):
-        pp_density(3, 0.97 / u_c, method="hypergeometric")
-    # auto silently switches to root tracking there
     assert pp_density(3, 0.97 / u_c) > 0
     with pytest.raises(DomainError):
         pp_density(3, -1.0)
     with pytest.raises(DomainError):
         pp_density(3, 1.01 / u_c)
+
+
+def mp_pp_density(p, x):
+    """P_p(x) at 60 digits from the parametric form, solved by bisection in
+    log(pi/p - phi) so that neither end of the support loses digits."""
+    with mpmath.workdps(60):
+        P, lx = mpmath.mpf(p), mpmath.log(mpmath.mpf(x))
+
+        def log_x(d):  # d = pi/p - phi
+            return (P * mpmath.log(mpmath.sin(P * d)) - mpmath.log(mpmath.sin(mpmath.pi / P - d))
+                    - (P - 1) * mpmath.log(mpmath.sin(mpmath.pi / P + (P - 1) * d)))
+
+        lo, hi = mpmath.mpf(-1000), mpmath.log(mpmath.pi / P)
+        while hi - lo > mpmath.mpf(10) ** -50:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if log_x(mpmath.exp(mid)) < lx else (lo, mid)
+        d = mpmath.exp(lo)
+        phi = mpmath.pi / P - d
+        return (mpmath.sin(phi) ** 2 * mpmath.sin((P - 1) * phi) ** (P - 2)
+                / (mpmath.pi * mpmath.sin(P * d) ** (P - 1)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 10, 50, 150, 1000])
+def test_pp_density_matches_mpmath(p):
+    u_c = critical_point(p)
+    for z in (1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.2, 0.5, 0.8, 0.9, 0.95, 0.97, 0.98, 0.985, 0.99):
+        ref = mp_pp_density(p, z / u_c)
+        assert abs(pp_density(p, z / u_c) - ref) <= 1e-12 * ref, z
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 10, 50, 150, 1000])
+def test_pp_density_last_ulps_below_edge(p):
+    x = 1.0 / critical_point(p)
+    assert pp_density(p, x) == 0.0
+    for _ in range(16):
+        x = float(np.nextafter(x, 0.0))
+        val = pp_density(p, x)
+        assert math.isfinite(val) and val >= 0.0
 
 
 # ---------------------------------------------------------------- rho
@@ -289,6 +326,13 @@ def test_stieltjes_consistency(p, points):
 def test_density_moments_match_fuss_catalan(p):
     for n in range(7):
         assert abs(density_moment(p, n) - fuss_catalan_number(p, n)) < 1e-6
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 50, 150, 1000])
+def test_density_moments_relative_at_large_p(p):
+    for n in range(9):
+        exact = fuss_catalan_number(p, n)
+        assert abs(density_moment(p, n, tol=1e-13 * exact) - exact) <= 1e-12 * exact
 
 
 def test_odd_moments_vanish():

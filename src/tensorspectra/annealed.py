@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CutContact, DomainError, QuadratureFailure, RootFindFailure
 from .fuss_catalan import critical_point, fc_function, gl_panel, support_edge
@@ -303,6 +302,8 @@ def _find_theta1(p, y, b, s_min, n_grid):
         raise RootFindFailure(
             f"no theta_1 bracket for p={p}, w={y}, b={b} (no real extra saddle)"
         )
+    from scipy.optimize import brentq  # deferred: importing scipy takes ~0.6 s
+
     return brentq(
         lambda s: _theta1_objective(p, y, b, s), *sign_change, xtol=1e-15, rtol=1e-15
     )
@@ -384,6 +385,8 @@ def singular_locus(p: int, b: float) -> float:
         lo /= 2
         if lo < 1e-300:
             raise RootFindFailure("failed to bracket the lower root of h")
+    from scipy.optimize import brentq
+
     v_minus = brentq(lambda v: h_function(p, b, v), lo, v_m, xtol=1e-300, rtol=1e-15)
     return _y_c_from_root(p, v_minus)
 

@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, OutsideWedge, ParityError, QuadratureFailure
 from .fuss_catalan import gl_panel
@@ -144,6 +142,8 @@ def _line_quadrature(coef2, coefp, p, contour, rtol=1e-12):
 
 
 def _line_quadrature_mp(coef2, coefp, p, dps):
+    import mpmath  # deferred, like scipy below: only this fallback needs it
+
     with mpmath.workdps(dps):
         c2 = mpmath.mpc(coef2)
         cp = mpmath.mpc(coefp)
@@ -259,6 +259,8 @@ def taylor_rest_check(
     cosfac = math.cos(ang)
     if cosfac <= 0:
         raise OutsideWedge("cosine factor nonpositive: outside the extended sector")
+    from scipy.special import gammaln
+
     log_moment = gammaln(n * p + 1) - (n * p / 2) * math.log(2) - gammaln(n * p / 2 + 1)
     bound = (
         math.exp(log_moment - gammaln(n + 1))

@@ -46,18 +46,25 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# Largest p whose u_c is divided out in exact integers; beyond it the powers
+# run to hundreds of thousands of digits and take seconds, so logs are used.
+_EXACT_U_C_MAX_P = 10_000
 
 
 def critical_point(p: int) -> float:
-    """u_c = (p-1)^(p-1)/p^p, the branch point of T_p on the positive axis."""
+    """u_c = (p-1)^(p-1)/p^p, the branch point of T_p on the positive axis.
+
+    Correctly rounded up to p = 10^4; within a few ulps beyond.
+    """
     _check_order(p)
-    return (p - 1) ** (p - 1) / p**p
+    if p <= _EXACT_U_C_MAX_P:
+        return (p - 1) ** (p - 1) / p**p
+    return math.exp((p - 1) * math.log1p(-1 / p)) / p
 
 
 def support_edge(p: int) -> float:
     """Endpoint of the spectral support, equal to 1/sqrt(u_c)."""
-    _check_order(p)
-    return p ** (p / 2) / (p - 1) ** ((p - 1) / 2)
+    return math.sqrt(1 / critical_point(p))
 
 
 def _check_order(p):

@@ -197,15 +197,70 @@ def _check_size(p: int, n: int, cap: int) -> None:
         raise CapExceeded(f"n*p = {n * p} exceeds the enumeration cap {cap}")
 
 
+def _pairing_array(m: int) -> np.ndarray:
+    """All (m-1)!! pairings of range(m) as rows of partners, in `_pairings` order.
+
+    Each step pairs every row's first free half-edge with each later free
+    one in turn, so the rows come out in lexicographic order.
+    """
+    pair = np.zeros((1, m), dtype=np.int8)
+    free = np.arange(m, dtype=np.int8)[None, :]
+    while free.shape[1]:
+        c = free.shape[1] - 1  # choices of partner for the first free half-edge
+        first = np.repeat(free[:, 0], c)
+        other = free[:, 1:].ravel()
+        pair = np.repeat(pair, c, axis=0)
+        rows = np.arange(len(pair))
+        pair[rows, first] = other
+        pair[rows, other] = first
+        rest = [[k for k in range(1, c + 1) if k != j] for j in range(1, c + 1)]
+        free = free[:, rest].reshape(len(pair), c - 1)
+    return pair
+
+
+def _bfs_from_zero(succ: np.ndarray, pair: np.ndarray):
+    """`_bfs_order` from half-edge 0, run on every row of `pair` in lockstep.
+
+    Returns (label, order, count): the BFS label of each half-edge (-1 if
+    unreached), the half-edges in visiting order, and how many were reached.
+    """
+    rows = np.arange(len(pair))
+    label = np.full(pair.shape, -1, dtype=np.int8)
+    order = np.zeros(pair.shape, dtype=np.int8)
+    label[:, 0] = 0
+    count = np.ones(len(pair), dtype=np.intp)
+    for head in range(pair.shape[1]):
+        live = head < count  # rows whose queue still holds a half-edge
+        h = order[:, head]
+        for nb in (succ[h], pair[rows, h]):
+            new = live & (label[rows, nb] < 0)
+            r, hn, c = rows[new], nb[new], count[new]
+            label[r, hn] = c
+            order[r, c] = hn
+            count += new
+    return label, order, count
+
+
+def _codes(pair: np.ndarray) -> np.ndarray:
+    """One uint64 per row, ordered as the rows are lexicographically.
+
+    Exact while the m entries, each below m, fit in 64 bits: m <= 16.
+    """
+    m = pair.shape[1]
+    bits = max(1, (m - 1).bit_length())
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+    return np.bitwise_or.reduce(pair.astype(np.uint64) << shifts, axis=1)
+
+
 def enumerate_rooted_maps(p: int, n: int, cap: int = ENUMERATION_CAP):
     """Connected rooted p-valent maps with n vertices, one per class.
 
     The successor permutation is fixed to n disjoint p-cycles; all
-    fixed-point-free pairings are generated, filtered for connectivity,
-    rooted in every possible way and deduplicated by BFS canonical form.
-    Returns an empty tuple when n = 0 or n*p is odd (no pairing exists).
-    The result is cached per (p, n); `cap` only decides whether
-    CapExceeded is raised.
+    fixed-point-free pairings are generated and filtered for connectivity.
+    Each class is listed as its first (pairing, root) in generation order,
+    pairings outer and roots inner.  Returns an empty tuple when n = 0 or
+    n*p is odd (no pairing exists).  The result is cached per (p, n);
+    `cap` only decides whether CapExceeded is raised.
     """
     _check_size(p, n, cap)
     return _rooted_maps(p, n)
@@ -213,26 +268,45 @@ def enumerate_rooted_maps(p: int, n: int, cap: int = ENUMERATION_CAP):
 
 @lru_cache(maxsize=None)
 def _rooted_maps(p: int, n: int):
+    """Rooted classes as orbits of the relabelings that fix the successor.
+
+    Those relabelings (vertex permutations times rotations within each
+    vertex) act freely on rooted maps, since a rooted map has no
+    automorphism.  So (pairing, root r) is isomorphic to (g pairing g^-1,
+    root 0) for any such g with g(r) = 0, and the classes with root 0 are
+    told apart by their BFS canonical keys, computed once per pairing.
+    """
     if n == 0 or (n * p) % 2:
         return ()
     m = n * p
-    succ = tuple((v * p + (i + 1) % p) for v in range(n) for i in range(p))
-    seen = set()
-    out = []
-    for pairs in _pairings(list(range(m))):
-        pairing = [0] * m
-        for a, b in pairs:
-            pairing[a] = b
-            pairing[b] = a
-        pairing = tuple(pairing)
-        if len(_bfs_order(succ, pairing, 0)) != m:
-            continue
-        for root in range(m):
-            key = _canonical_key(succ, pairing, root)
-            if key not in seen:
-                seen.add(key)
-                out.append(CombinatorialMap(p, succ, pairing, root))
-    return tuple(out)
+    vertex, slot = np.divmod(np.arange(m), p)
+    succ = vertex * p + (slot + 1) % p
+    pair = _pairing_array(m)
+    label, order, count = _bfs_from_zero(succ, pair)
+    connected = count == m
+    pair, label, order = pair[connected], label[connected], order[connected]
+    # canonical key (relabeled successor, relabeled pairing) -> class id
+    key_succ = _codes(np.take_along_axis(label, succ[order], axis=1))
+    key_pair = _codes(np.take_along_axis(label, np.take_along_axis(pair, order, axis=1), axis=1))
+    _, succ_id = np.unique(key_succ, return_inverse=True)
+    _, pair_id = np.unique(key_pair, return_inverse=True)
+    key_class = succ_id * (pair_id.max() + 1) + pair_id
+    codes = _codes(pair)
+    cls = np.empty(pair.shape, dtype=np.intp)
+    for r in range(m):
+        # g: swap vertices 0 and v(r), rotate v(r)'s slots so that r -> 0
+        v = np.where(vertex == vertex[r], 0, np.where(vertex == 0, vertex[r], vertex))
+        g = v * p + np.where(vertex == vertex[r], slot - slot[r], slot) % p
+        moved = np.empty_like(pair)
+        moved[:, g] = g[pair]
+        cls[:, r] = key_class[np.searchsorted(codes, _codes(moved))]
+    _, first = np.unique(cls.ravel(), return_index=True)
+    rows, roots = np.divmod(np.sort(first), m)
+    succ = tuple(succ.tolist())
+    return tuple(
+        CombinatorialMap(p, succ, tuple(pair[i].tolist()), r)
+        for i, r in zip(rows.tolist(), roots.tolist())
+    )
 
 
 # The public function exposes the (p, n)-keyed cache's statistics.

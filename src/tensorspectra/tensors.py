@@ -49,17 +49,17 @@ def multiset_table(p: int, N: int):
     lexicographic order, `rank` maps tuple -> packed position, and
     `counts[i]` is the number of distinct orderings c(mu) of tuples[i].
     """
-    tuples = np.array(
-        list(itertools.combinations_with_replacement(range(N), p)), dtype=np.int64
-    )
-    rank = {tuple(t): i for i, t in enumerate(tuples.tolist())}
-    pfact = math.factorial(p)
-    counts = np.empty(len(tuples), dtype=np.int64)
-    for i, t in enumerate(tuples.tolist()):
-        mult = 1
-        for _, group in itertools.groupby(t):
-            mult *= math.factorial(sum(1 for _ in group))
-        counts[i] = pfact // mult
+    M = math.comb(N + p - 1, p)
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(N), p))
+    tuples = np.fromiter(flat, dtype=np.int64, count=M * p).reshape(M, p)
+    rank = dict(zip(itertools.combinations_with_replacement(range(N), p), range(M)))
+    # c(mu) of the first j+1 slots is c(mu) of the first j times (j+1) over
+    # the (j+1)th slot's position in its run of equal indices; exact at each step
+    run = np.ones(M, dtype=np.int64)
+    counts = np.ones(M, dtype=np.int64)
+    for j in range(1, p):
+        run = np.where(tuples[:, j] == tuples[:, j - 1], run + 1, 1)
+        counts = counts * (j + 1) // run
     return tuples, rank, counts
 
 
@@ -70,11 +70,14 @@ def full_index_map(p: int, N: int) -> np.ndarray:
     dense.flat[k] = packed[full_index_map[k]] reconstructs the dense tensor;
     brute-force oracles iterate it to visit all orderings.
     """
-    _, rank, _ = multiset_table(p, N)
-    out = np.empty(N**p, dtype=np.int64)
-    for k, idx in enumerate(itertools.product(range(N), repeat=p)):
-        out[k] = rank[tuple(sorted(idx))]
-    return out
+    tuples, _, _ = multiset_table(p, N)
+    shape = (N,) * p
+    # rank of each sorted tuple, at its flat position
+    rank_at = np.empty(N**p, dtype=np.int64)
+    rank_at[np.ravel_multi_index(tuples.T, shape)] = np.arange(len(tuples))
+    every = np.indices(shape, dtype=np.min_scalar_type(N - 1)).reshape(p, -1)
+    every.sort(axis=0)
+    return rank_at[np.ravel_multi_index(every, shape)]
 
 
 class SymmetricTensor:

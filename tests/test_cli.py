@@ -209,6 +209,15 @@ def test_density_large_p_has_no_interior_zero(capsys):
     assert all(r > 0 for r in rho[1:-1])
 
 
+@pytest.mark.parametrize("p", [256, 289, 1000, 5000])
+def test_density_at_large_p_exits_0(capsys, p):
+    code, out = run_cli(["density", "--p", str(p), "--grid", "7"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[3:]]
+    assert len(rows) == 7
+    assert float(rows[-1][0]) == pytest.approx(math.sqrt(math.e * p), rel=0.1)
+
+
 def test_moments_large_p_finishes_fast(capsys):
     t0 = time.perf_counter()
     code = exit_code(["moments", "--p", "1000", "--nmax", "8"])
@@ -259,9 +268,8 @@ SWEEPS = st.one_of(
 @st.composite
 def cheap_invocations(draw):
     command = draw(st.sampled_from(["resolvent", "moments", "density", "spike", "borel"]))
-    # density and moments hold at every p (density exits 3 from p = 256 on,
-    # where support_edge overflows); the others stay at small p to keep the
-    # test fast.
+    # density and moments hold at every p; the others stay at small p to
+    # keep the test fast.
     top = 1000 if command in ("moments", "density") else 9
     argv = [command, "--p", draw(counts(-2, top))]
     if command == "resolvent":
@@ -354,3 +362,31 @@ def test_schema_covers_all_subcommands():
     # and --help epilogs carry the column docs
     parser = build_parser()
     assert parser._subparsers is not None
+
+
+IMPORT_PROBE = """
+import json, sys
+from tensorspectra import cli
+heavy = lambda: sorted(m for m in ("scipy", "mpmath") if m in sys.modules)
+print(heavy())
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(heavy())
+"""
+
+
+def test_cli_import_leaves_scipy_and_mpmath_unloaded(tmp_path):
+    # a fresh interpreter: the test modules themselves import scipy
+    argvs = [
+        ["maps", "--p", "3", "--n", "2"],
+        ["invariants", "--p", "3", "--N", "4", "--n", "2", "--samples", "2"],
+        ["sample", "--p", "3", "--N", "4", "--output", str(tmp_path / "t.bin")],
+        ["eigen", "--p", "3", "--N", "4", "--starts", "4"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # after the import
+    assert lines[-1] == "[]"  # after the four subcommands

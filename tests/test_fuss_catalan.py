@@ -356,3 +356,17 @@ def test_support_edge_identity():
     assert critical_point(3) == pytest.approx(4 / 27, abs=1e-16)
     for p in range(2, 9):
         assert abs(support_edge(p) ** 2 * critical_point(p) - 1.0) < 1e-14
+
+
+def test_support_edge_identity_at_large_p():
+    # every p to 1000, then spot checks to 10^4 and beyond, where u_c
+    # leaves exact integer division
+    orders = [*range(2, 1001), 2048, 4099, 8191, 9999, 10_000, 10_001, 65_537, 10**6]
+    for p in orders:
+        assert abs(support_edge(p) ** 2 * critical_point(p) - 1.0) < 1e-14, p
+
+
+def test_critical_point_beyond_exact_range():
+    for p in (10_001, 12_345):
+        exact = (p - 1) ** (p - 1) / p**p
+        assert abs(critical_point(p) - exact) <= 4 * math.ulp(exact)

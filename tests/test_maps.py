@@ -1,14 +1,21 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tensorspectra.cli import main
 from tensorspectra.errors import CapExceeded, DomainError
 from tensorspectra.maps import (
     ENUMERATION_CAP,
     CombinatorialMap,
+    _bfs_order,
+    _canonical_key,
     _loop_count,
     _pairings,
     balanced_invariant,
@@ -84,6 +91,30 @@ def reference_wick(p, N, n):
     return pref * total / Nf
 
 
+def reference_rooted_maps(p, n):
+    """Rooted classes by one BFS canonical key per (pairing, root), first seen kept."""
+    if n == 0 or (n * p) % 2:
+        return ()
+    m = n * p
+    succ = tuple((v * p + (i + 1) % p) for v in range(n) for i in range(p))
+    seen = set()
+    out = []
+    for pairs in _pairings(list(range(m))):
+        pairing = [0] * m
+        for a, b in pairs:
+            pairing[a] = b
+            pairing[b] = a
+        pairing = tuple(pairing)
+        if len(_bfs_order(succ, pairing, 0)) != m:
+            continue
+        for root in range(m):
+            key = _canonical_key(succ, pairing, root)
+            if key not in seen:
+                seen.add(key)
+                out.append(CombinatorialMap(p, succ, pairing, root))
+    return tuple(out)
+
+
 def sizes_up_to(half_edges):
     """Every (p, n) with p >= 2, n >= 1 and n*p <= half_edges."""
     return [(p, n) for p in range(2, half_edges + 1) for n in range(1, half_edges // p + 1)]
@@ -104,6 +135,40 @@ def test_two_valent_maps_are_rooted_cycles(n):
     T = sample_goe(2, 4, seed=n)
     power_trace = np.trace(np.linalg.matrix_power(T.to_dense(), n))
     assert trace_invariant(T, maps[0]) == pytest.approx(power_trace, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in range(2, 11) for n in range(0, 10 // p + 1)] + [(3, 4)])
+def test_enumeration_matches_reference(p, n):
+    assert enumerate_rooted_maps(p, n) == reference_rooted_maps(p, n)
+
+
+# sha256 of `maps --p P --n N` stdout as printed by the one-BFS-per-rooting
+# enumeration (`reference_rooted_maps`), which takes ~8 s for these four.
+MAPS_STDOUT_SHA256 = {
+    (2, 6): "e3a05bb8f33c2614596d68787925937d2283de7085af01f7ec03549b5fa5ef04",
+    (4, 3): "809dfc8bb8a9fe472326dff925277b4216e863c30e8cdbcc5d29a7173291a70b",
+    (6, 2): "adb3de88e0b91ede0fb2e8948d1eb7353e160c188c7e79dae52a1678df433a9a",
+    (12, 1): "5e41f9b53679cbcb0f7829d56c4de7846f575d1f05858930129b6af6d0b875f1",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(MAPS_STDOUT_SHA256))
+def test_maps_stdout_pinned(p, n):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["maps", "--p", str(p), "--n", str(n)]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == MAPS_STDOUT_SHA256[(p, n)]
+
+
+def test_enumeration_transient_memory():
+    enumerate_rooted_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        enumerate_rooted_maps(3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_enumeration_cap():

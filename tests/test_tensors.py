@@ -88,6 +88,21 @@ def test_dense_round_trip():
     assert dense[0, 1, 2, 1] == dense[2, 1, 1, 0]
 
 
+@pytest.mark.parametrize("p, N", [(2, 1), (2, 16), (3, 8), (3, 64), (4, 12), (5, 8), (6, 4)])
+def test_index_tables_match_brute_force(p, N):
+    tuples, rank, counts = multiset_table(p, N)
+    expected = list(itertools.combinations_with_replacement(range(N), p))
+    assert tuples.dtype == np.int64 and tuples.tolist() == [list(t) for t in expected]
+    assert rank == {t: i for i, t in enumerate(expected)}
+    assert all(type(i) is int for t in list(rank)[:3] for i in t)
+    multiplicity = [math.prod(math.factorial(t.count(a)) for a in set(t)) for t in expected]
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [math.factorial(p) // m for m in multiplicity]
+    fm = full_index_map(p, N)
+    assert fm.dtype == np.int64
+    assert fm.tolist() == [rank[tuple(sorted(idx))] for idx in itertools.product(range(N), repeat=p)]
+
+
 def test_full_index_map_consistency():
     fm = full_index_map(2, 3)
     _, rank, _ = multiset_table(2, 3)

@@ -19,7 +19,6 @@ Library layout (one module per subsystem):
 
 from . import annealed, borel, eigenpairs, errors, maps, tensors
 from .fuss_catalan import (
-    FussCatalanBranch,
     critical_point,
     density_moment,
     expected_resolvent,

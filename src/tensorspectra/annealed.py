@@ -222,7 +222,7 @@ def _rho_sq_on_curve(p, y, s):
     """rho^2(theta) from the second saddle equation, s = sin^2(theta), real y.
 
     s >= s_min keeps u <= u_c, with equality at s_min; there the rounded u
-    can land above u_c by more than fc_branch's 4 eps u_c allowance (seen
+    can land above u_c by more than fc_function's 4 eps u_c allowance (seen
     at p = 6), on the cut, so u is capped at u_c.
     """
     u = min(s ** (1 - p) / y**2, critical_point(p))
@@ -235,7 +235,7 @@ def _theta1_objective(p, w, b, s):
     return val.real if abs(val.imag) < 1e-9 else math.nan
 
 
-def spike_saddles(p: int, w: complex, b: float, n_grid: int = 400) -> SaddleReport:
+def spike_saddles(p: int, w: complex, b: float) -> SaddleReport:
     """Saddle points of the spiked model at coupling w and SNR b.
 
     Always contains the theta_0 = pi/2 saddle with rho_0^2 = T_p(w^{-2});
@@ -259,7 +259,7 @@ def spike_saddles(p: int, w: complex, b: float, n_grid: int = 400) -> SaddleRepo
             y = w.real
             s_min = (critical_point(p) * y * y) ** (-1.0 / (p - 1))
             try:
-                s1 = _find_theta1(p, y, b, s_min, n_grid)
+                s1 = _find_theta1(p, y, b, s_min)
             except RootFindFailure as exc:
                 theta1_error = str(exc)
                 s1 = None
@@ -278,7 +278,7 @@ def spike_saddles(p: int, w: complex, b: float, n_grid: int = 400) -> SaddleRepo
     return SaddleReport(p, w, float(b), tuple(saddles), dominant, theta1_error)
 
 
-def _find_theta1(p, y, b, s_min, n_grid):
+def _find_theta1(p, y, b, s_min):
     """Root of the reduced scalar equation in s = sin^2(theta).
 
     Brackets on (s_min, 1); the boundary s = s_min (where the Fuss-Catalan
@@ -289,7 +289,7 @@ def _find_theta1(p, y, b, s_min, n_grid):
     if math.isfinite(g_min) and abs(g_min) < 1e-10:
         return s_min
     # cluster grid points toward the s_min endpoint where T_p varies fastest
-    t = np.linspace(0.0, 1.0, n_grid)
+    t = np.linspace(0.0, 1.0, 400)
     grid = s_min + (1.0 - 1e-9 - s_min) * t**2
     vals = np.array([_theta1_objective(p, y, b, s) for s in grid])
     finite = np.isfinite(vals)
@@ -329,8 +329,13 @@ class ThresholdResult:
     p: int
     b_t: float
     y_c_below: float
-    y_c_at: float
     h_root: float
+
+    @property
+    def y_c_at(self) -> float:
+        """The locus p^{p/2} at b_t; computed on access, since it overflows
+        a float from p = 256 on while every value below b_t stays finite."""
+        return self.p ** (self.p / 2)
 
 
 def spike_threshold(p: int) -> ThresholdResult:
@@ -347,7 +352,6 @@ def spike_threshold(p: int) -> ThresholdResult:
         p=p,
         b_t=b_t,
         y_c_below=support_edge(p),
-        y_c_at=p ** (p / 2),
         h_root=_h_peak(p, b_t)[0],
     )
 

@@ -29,7 +29,6 @@ from .fuss_catalan import gl_panel
 
 __all__ = [
     "SectorSpec",
-    "ContourSpec",
     "perturbative_coeff",
     "sector_Z",
     "discontinuity",
@@ -63,19 +62,6 @@ class SectorSpec:
     def wedge(self):
         """Convergence range of alpha: the sector extended by +-pi/2."""
         return (self.q * self.omega - math.pi / 2, (self.q + 1) * self.omega + math.pi / 2)
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Numerical contour controls for the tilted-line quadrature."""
-
-    tilt_offset: float = 0.0
-    radius: float | None = None
-    nodes: int = 64
-
-    def __post_init__(self):
-        if self.nodes < 64:
-            raise DomainError("need at least 64 nodes")
 
 
 def perturbative_coeff(p: int, n: int) -> Fraction:
@@ -119,18 +105,18 @@ def _resolve_alpha(p, g, q, alpha):
     return spec, alpha
 
 
-def _line_quadrature(coef2, coefp, p, contour, rtol=1e-12):
+def _line_quadrature(coef2, coefp, p, rtol=1e-12):
     """(2 pi)^{-1/2} integral over R of exp(-coef2 x^2/2 + coefp x^p) dx."""
     cosfac = coef2.real
     if cosfac <= 0:
         raise OutsideWedge("Gaussian factor does not decay on this contour")
-    R = contour.radius or math.sqrt(2 * math.log(1e18) / cosfac)
+    R = math.sqrt(2 * math.log(1e18) / cosfac)
 
     def integrand(x):
         return np.exp(-coef2 * x**2 / 2 + coefp * x**p)
 
     prev = None
-    npanels = max(8, contour.nodes // 32)
+    npanels = 8
     for _ in range(10):
         edges = np.linspace(-R, R, npanels + 1)
         total = sum(gl_panel(integrand, a, b, 32) for a, b in zip(edges[:-1], edges[1:]))
@@ -162,33 +148,34 @@ def sector_Z(
     p: int,
     g,
     q: int,
-    contour: ContourSpec | None = None,
     *,
     alpha: float | None = None,
     dps: int | None = None,
+    tilt_offset: float = 0.0,
 ) -> complex:
     """Sector partition function Z_q at coupling g.
 
     g may be complex (angle resolved into sector q's wedge) or a
     magnitude with the angle passed explicitly via `alpha` (kept as a real
     number, so the two sides of a cut are distinguishable).  `dps` switches
-    to high-precision quadrature with that many digits.
+    to high-precision quadrature with that many digits.  `tilt_offset`
+    turns the integration line away from its default angle; within the
+    wedge the value does not depend on it.
     """
-    contour = contour or ContourSpec()
     g_abs = abs(g) if alpha is None else float(abs(g))
     if g_abs == 0:
         return 1.0 + 0j
     spec, alpha = _resolve_alpha(p, g, q, alpha)
-    theta = (p - 2) / (2 * p) * (spec.alpha_q - alpha) + contour.tilt_offset
+    theta = (p - 2) / (2 * p) * (spec.alpha_q - alpha) + tilt_offset
     coef2 = cmath.exp(2j * theta)
     coefp = g_abs ** ((p - 2) / 2) * cmath.exp(1j * (p - 2) / 2 * alpha + 1j * p * theta) / p
     # e^{i theta}: Jacobian of the rotation phi = e^{i theta} x
     if dps is not None:
         return cmath.exp(1j * theta) * _line_quadrature_mp(coef2, coefp, p, dps)
-    return cmath.exp(1j * theta) * _line_quadrature(coef2, coefp, p, contour)
+    return cmath.exp(1j * theta) * _line_quadrature(coef2, coefp, p)
 
 
-def discontinuity(p: int, g_abs: float, q: int, dps: int | None = None) -> complex:
+def discontinuity(p: int, g_abs: float, q: int) -> complex:
     """Jump Z_q(|g| e^{i(q w)+}) - Z_{q-1}(|g| e^{i(q w)-}) at a sector boundary.
 
     Z_{-1} means Z_{p-3} approached at angle 2 pi.  Nonzero jumps occur
@@ -200,8 +187,7 @@ def discontinuity(p: int, g_abs: float, q: int, dps: int | None = None) -> compl
     if g_abs <= 0:
         raise DomainError("g_abs must be positive")
     spec = SectorSpec(p, q)
-    if dps is None and math.exp(-(p - 2) / (2 * p * g_abs)) < 1e-9:
-        dps = 40
+    dps = 40 if math.exp(-(p - 2) / (2 * p * g_abs)) < 1e-9 else None
     upper = sector_Z(p, g_abs, q, alpha=q * spec.omega, dps=dps)
     if q >= 1:
         lower = sector_Z(p, g_abs, q - 1, alpha=q * spec.omega, dps=dps)
@@ -271,13 +257,7 @@ def taylor_rest_check(
     return {"lhs": lhs, "bound": bound}
 
 
-def rescaled_Z(
-    p: int,
-    w,
-    halfplane: str = "+",
-    contour: ContourSpec | None = None,
-    dps: int | None = None,
-) -> complex:
+def rescaled_Z(p: int, w, halfplane: str = "+") -> complex:
     """Partition function in the rescaled coupling w, on the +/- boundary sum.
 
     Integrates exp(-phi^2/2 + phi^p/(p w)) along e^{i theta} R with
@@ -291,16 +271,12 @@ def rescaled_Z(
     w = complex(w)
     if w == 0:
         raise DomainError("w must be nonzero")
-    contour = contour or ContourSpec()
     psi = cmath.phase(w)
     if w.imag == 0 and w.real < 0 and halfplane == "-":
         psi = -math.pi  # lower-half-plane boundary of the negative axis
     theta = (psi - math.pi / 2) / p if halfplane == "+" else (psi + math.pi / 2) / p
-    theta += contour.tilt_offset
     if abs(psi - (math.pi / 2 if halfplane == "+" else -math.pi / 2)) >= p * math.pi / 4:
         raise OutsideWedge(f"psi = {psi} outside the {halfplane} analyticity wedge")
     coef2 = cmath.exp(2j * theta)
     coefp = cmath.exp(1j * p * theta) / (p * w)
-    if dps is not None:
-        return cmath.exp(1j * theta) * _line_quadrature_mp(coef2, coefp, p, dps)
-    return cmath.exp(1j * theta) * _line_quadrature(coef2, coefp, p, contour)
+    return cmath.exp(1j * theta) * _line_quadrature(coef2, coefp, p)

@@ -6,8 +6,8 @@ run configuration, or JSON with a {meta, data} envelope.  Stochastic
 subcommands are deterministic given --seed.  Exit codes: 0 success,
 2 validation error, 3 numerical failure.
 
-Column documentation lives in cli_schema.json next to this module and in
-each subcommand's --help.
+Column names and their documentation live in cli_schema.json next to
+this module; each subcommand's --help repeats them.
 """
 
 from __future__ import annotations
@@ -25,33 +25,11 @@ import numpy as np
 
 from . import __version__, annealed, borel, eigenpairs, maps, tensors
 from . import fuss_catalan as fc
-from .errors import (
-    BranchTrackingFailed,
-    CapExceeded,
-    CutContact,
-    DomainError,
-    NearSingular,
-    NoMatchingPairs,
-    OutsideWedge,
-    ParityError,
-    QuadratureFailure,
-    RootFindFailure,
-    SignMismatch,
-    TensorSpectraError,
-)
+from .errors import CapExceeded, DomainError, ParityError, TensorSpectraError
 
 VALIDATION_ERRORS = (DomainError, ParityError, CapExceeded)
-NUMERICAL_ERRORS = (
-    QuadratureFailure,
-    BranchTrackingFailed,
-    RootFindFailure,
-    NearSingular,
-    NoMatchingPairs,
-    SignMismatch,
-    CutContact,
-    OutsideWedge,
-    ArithmeticError,  # overflow or division by zero at extreme inputs
-)
+# every other library error, and overflow or division by zero at extreme inputs
+NUMERICAL_ERRORS = (TensorSpectraError, ArithmeticError)
 # A sweep longer than this is refused rather than built.
 MAX_SWEEP_POINTS = 100_000
 
@@ -74,9 +52,13 @@ def _meta(args):
     return {"version": __version__, "config": cfg}
 
 
-def _emit_csv(args, columns, rows):
+def _columns(subcommand):
+    return list(_schema()[subcommand]["columns"])
+
+
+def _emit_csv(args, rows):
     lines = [f"# tensorspectra {__version__}", f"# config: {json.dumps(_meta(args)['config'], sort_keys=True)}"]
-    lines.append(",".join(columns))
+    lines.append(",".join(_columns(args.subcommand)))
     for row in rows:
         lines.append(",".join(_fmt(v) if v is not None else "" for v in row))
     _write(args, "\n".join(lines) + "\n")
@@ -152,7 +134,7 @@ def cmd_density(args):
     edge = fc.support_edge(args.p)
     ys = np.linspace(-edge, edge, args.grid)
     rows = [(float(y), fc.wigner_density(args.p, float(y))) for y in ys]
-    _emit_csv(args, ["y", "rho"], rows)
+    _emit_csv(args, rows)
 
 
 def cmd_moments(args):
@@ -163,7 +145,7 @@ def cmd_moments(args):
         moment = fc.density_moment(args.p, n)
         exact = fc.fuss_catalan_number(args.p, n)
         rows.append((n, moment, exact, abs(moment - exact)))
-    _emit_csv(args, ["n", "moment", "fuss_catalan", "abs_err"], rows)
+    _emit_csv(args, rows)
 
 
 def cmd_resolvent(args):
@@ -172,7 +154,7 @@ def cmd_resolvent(args):
         w = _complex(token)
         omega = fc.expected_resolvent(args.p, w)
         rows.append((w.real, w.imag, omega.real, omega.imag))
-    _emit_csv(args, ["re_w", "im_w", "re_omega", "im_omega"], rows)
+    _emit_csv(args, rows)
 
 
 def cmd_maps(args):
@@ -202,11 +184,7 @@ def cmd_invariants(args):
             args.seed,
         )
     ]
-    _emit_csv(
-        args,
-        ["p", "N", "n", "wick_exact", "wick_float", "mc_mean", "mc_stderr", "samples", "seed"],
-        rows,
-    )
+    _emit_csv(args, rows)
 
 
 def cmd_sample(args):
@@ -251,11 +229,7 @@ def _spike_row(p, b):
 
 def cmd_spike(args):
     rows = [_spike_row(args.p, b) for b in _points(args.b, args.b_sweep, "b")]
-    _emit_csv(
-        args,
-        ["p", "b", "y_c", "theta_c", "rho_c_sq", "dominant_saddle", "f0", "f1"],
-        rows,
-    )
+    _emit_csv(args, rows)
 
 
 def cmd_annealed(args):
@@ -273,11 +247,7 @@ def cmd_annealed(args):
         except ValueError:
             raise DomainError(f"--N must be comma-separated integers, got {args.N!r}") from None
         rows.extend(one(N) for N in Ns)
-    _emit_csv(
-        args,
-        ["p", "w", "N", "mode", "re_omega", "im_omega", "abs_err_vs_saddle"],
-        rows,
-    )
+    _emit_csv(args, rows)
 
 
 def cmd_borel(args):
@@ -288,11 +258,10 @@ def cmd_borel(args):
         return (args.p, args.q, g_abs, disc.real, disc.imag, inst.real, inst.imag, ratio)
 
     rows = [one(g_abs) for g_abs in _points(args.g, args.g_sweep, "g")]
-    columns = ["p", "q", "g_abs", "re_disc", "im_disc", "instanton_re", "instanton_im", "ratio"]
     if args.format == "json":
-        _emit_json(args, [dict(zip(columns, row)) for row in rows])
+        _emit_json(args, [dict(zip(_columns("borel"), row)) for row in rows])
     else:
-        _emit_csv(args, columns, rows)
+        _emit_csv(args, rows)
 
 
 # ------------------------------------------------------------------ parser
@@ -312,11 +281,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **defaults):
+    def add(name, fn):
         sp = sub.add_parser(name, epilog=_column_help(name))
         sp.set_defaults(func=fn)
         sp.add_argument("--output", help="output file; relative paths resolve in $TENSORSPECTRA_OUTDIR")
-        sp.add_argument("--format", choices=("csv", "json"), default=defaults.get("format", "csv"))
         return sp
 
     sp = add("density", cmd_density)
@@ -331,7 +299,7 @@ def build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--w", action="append", required=True, help="complex point, e.g. 4 or 2.8+0.5j (repeatable)")
 
-    sp = add("maps", cmd_maps, format="json")
+    sp = add("maps", cmd_maps)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
@@ -347,7 +315,7 @@ def build_parser():
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = add("eigen", cmd_eigen, format="json")
+    sp = add("eigen", cmd_eigen)
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--N", type=int, default=4)
     sp.add_argument("--input", help="packed tensor file; omit to sample a fresh draw")
@@ -366,6 +334,7 @@ def build_parser():
     sp.add_argument("--N", help="comma-separated dimensions for quadrature mode")
 
     sp = add("borel", cmd_borel)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, default=0)
     sp.add_argument("--g", type=float)
@@ -384,9 +353,6 @@ def main(argv=None) -> int:
         return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except TensorSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
 

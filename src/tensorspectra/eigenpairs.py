@@ -281,7 +281,6 @@ def discontinuity_exponent(
     tensor: SymmetricTensor,
     y: float,
     pairs: list[Eigenpair] | None = None,
-    **search_kwargs,
 ) -> float:
     """Leading instanton action governing the discontinuity decay at y.
 
@@ -296,7 +295,7 @@ def discontinuity_exponent(
     if y == 0:
         raise DomainError("y must be nonzero (the exponent tends to 0 as y -> 0)")
     if pairs is None:
-        pairs = find_real_eigenpairs(tensor, **search_kwargs)
+        pairs = find_real_eigenpairs(tensor)
     if p % 2:
         # odd p: classes come in (lam, x) ~ (-lam, -x), so every class
         # provides an instanton at either sign of y

@@ -16,7 +16,7 @@ class CutContact(TensorSpectraError):
 class BranchTrackingFailed(TensorSpectraError):
     """Homotopy continuation lost the root it was following.
 
-    Carries the last waypoint at which the root was still certified.
+    Carries the last certified (u, T) pair, or None when there is none.
     """
 
     def __init__(self, message, last_good=None):

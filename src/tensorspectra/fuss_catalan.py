@@ -17,7 +17,6 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,11 +30,9 @@ from .errors import (
 )
 
 __all__ = [
-    "FussCatalanBranch",
     "critical_point",
     "support_edge",
     "fuss_catalan_number",
-    "fc_branch",
     "fc_function",
     "fc_function_boundary",
     "pp_density",
@@ -84,23 +81,6 @@ def fuss_catalan_number(p: int, n: int) -> int:
     return q
 
 
-@dataclass
-class FussCatalanBranch:
-    """Value of T_p at one point together with the homotopy path used.
-
-    The path starts at u=0 (where T_p = 1) and every accepted waypoint
-    satisfies |T - 1 - u*T^p| < 1e-12.
-    """
-
-    p: int
-    u: complex
-    value: complex
-    path: list = field(default_factory=list)
-
-    def residual(self) -> float:
-        return abs(self.value - 1 - self.u * self.value**self.p)
-
-
 def _newton_polish(p, u, t0, tol=_RESIDUAL_TOL, maxit=60):
     """Polish a root of u*T^p - T + 1 = 0 starting from t0.
 
@@ -137,7 +117,7 @@ def _fc_series(p, u, rtol=1e-16, nmax=5000):
     raise BranchTrackingFailed(f"series for T_{p}({u}) did not converge")
 
 
-def _fc_track_segment(p, u_from, u_to, t, path):
+def _fc_track_segment(p, u_from, u_to, t):
     """Continue the tracked root along one straight segment.
 
     Adaptive step halving; each accepted waypoint is Newton-polished to
@@ -157,16 +137,15 @@ def _fc_track_segment(p, u_from, u_to, t, path):
         if ok:
             s = s_next
             t = t_new
-            path.append(u_next)
             ds = min(2 * ds, 1.0 / 8.0)
             halvings = 0
         else:
             ds /= 2
             halvings += 1
             if halvings > 60:
+                u_good = u_from + (u_to - u_from) * s
                 raise BranchTrackingFailed(
-                    f"lost the analytic branch of T_{p} near u={u_from + (u_to - u_from) * s}",
-                    last_good=FussCatalanBranch(p, path[-1], t, list(path)),
+                    f"lost the analytic branch of T_{p} near u={u_good}", last_good=(u_good, t)
                 )
     return t
 
@@ -192,44 +171,40 @@ def _fc_track(p, u):
     cut-avoiding polyline."""
     u = complex(u)
     t = 1.0 + 0j
-    path = [0.0 + 0j]
     prev = 0.0 + 0j
     for waypoint in _branch_waypoints(p, u):
-        t = _fc_track_segment(p, prev, waypoint, t, path)
+        t = _fc_track_segment(p, prev, waypoint, t)
         prev = waypoint
-    return FussCatalanBranch(p, u, t, path)
+    return t
 
 
-def fc_branch(p: int, u: complex, method: str = "auto") -> FussCatalanBranch:
-    """T_p(u) on the branch analytic at u=0, with the tracking path attached."""
+def fc_function(p: int, u: complex) -> complex:
+    """The Fuss-Catalan function T_p(u), analytic branch with T_p(0) = 1.
+
+    Summed as the power series for |u| <= 0.45 u_c and tracked from u = 0
+    along a cut-avoiding path beyond; either way the result satisfies
+    |T - 1 - u T^p| < 1e-12.
+    """
     _check_order(p)
     u = complex(u)
     u_c = critical_point(p)
     if u.imag == 0 and u.real >= u_c:
         if abs(u.real - u_c) <= 4 * np.finfo(float).eps * u_c:
             # branch point itself: the two colliding roots equal p/(p-1)
-            t_c = p / (p - 1)
-            return FussCatalanBranch(p, u, complex(t_c), [0j, u])
+            return complex(p / (p - 1))
         raise CutContact(
             f"u={u.real} lies on the cut [u_c, oo) of T_{p}; "
             "use fc_function_boundary to pick a side"
         )
-    if method not in ("auto", "series", "root_tracking"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "series" or (method == "auto" and abs(u) <= 0.45 * u_c):
+    if abs(u) <= 0.45 * u_c:
         val = _fc_series(p, u)
         # one Newton step keeps the residual at the 1e-12 contract even
         # when the series was truncated near its radius
         val, ok = _newton_polish(p, u, val)
         if not ok:
             raise BranchTrackingFailed(f"series polish failed for T_{p}({u})")
-        return FussCatalanBranch(p, u, val, [0j, u])
+        return val
     return _fc_track(p, u)
-
-
-def fc_function(p: int, u: complex, method: str = "auto") -> complex:
-    """The Fuss-Catalan function T_p(u), analytic branch with T_p(0) = 1."""
-    return fc_branch(p, u, method=method).value
 
 
 def fc_function_boundary(p: int, u0: float, side: int = +1) -> complex:
@@ -253,11 +228,12 @@ def fc_function_boundary(p: int, u0: float, side: int = +1) -> complex:
     # the boundary root is a simple complex root for u0 > u_c, so Newton at
     # exactly eps = 0 is regular (no extrapolation needed)
     eps = min(1e-6 * u_c, 0.01 * (u0 - u_c))
-    branch = _fc_track(p, u0 + 1j * side * eps)
-    t, ok = _newton_polish(p, complex(u0), branch.value)
+    u_eps = u0 + 1j * side * eps
+    t_eps = _fc_track(p, u_eps)
+    t, ok = _newton_polish(p, complex(u0), t_eps)
     if not ok:
         raise BranchTrackingFailed(
-            f"boundary polish failed for T_{p}({u0})", last_good=branch
+            f"boundary polish failed for T_{p}({u0})", last_good=(u_eps, t_eps)
         )
     return t
 

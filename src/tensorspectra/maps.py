@@ -190,11 +190,11 @@ def _pairings(items):
             yield [(first, other)] + tail
 
 
-def _check_size(p: int, n: int, cap: int) -> None:
+def _check_size(p: int, n: int) -> None:
     if p < 2 or n < 0:
         raise DomainError(f"need p >= 2 and n >= 0, got p={p}, n={n}")
-    if n * p > cap:
-        raise CapExceeded(f"n*p = {n * p} exceeds the enumeration cap {cap}")
+    if n * p > ENUMERATION_CAP:
+        raise CapExceeded(f"n*p = {n * p} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 def _pairing_array(m: int) -> np.ndarray:
@@ -252,30 +252,24 @@ def _codes(pair: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(pair.astype(np.uint64) << shifts, axis=1)
 
 
-def enumerate_rooted_maps(p: int, n: int, cap: int = ENUMERATION_CAP):
+@lru_cache(maxsize=None)
+def enumerate_rooted_maps(p: int, n: int):
     """Connected rooted p-valent maps with n vertices, one per class.
 
     The successor permutation is fixed to n disjoint p-cycles; all
     fixed-point-free pairings are generated and filtered for connectivity.
     Each class is listed as its first (pairing, root) in generation order,
     pairings outer and roots inner.  Returns an empty tuple when n = 0 or
-    n*p is odd (no pairing exists).  The result is cached per (p, n);
-    `cap` only decides whether CapExceeded is raised.
-    """
-    _check_size(p, n, cap)
-    return _rooted_maps(p, n)
+    n*p is odd (no pairing exists).  The result is cached per (p, n).
 
-
-@lru_cache(maxsize=None)
-def _rooted_maps(p: int, n: int):
-    """Rooted classes as orbits of the relabelings that fix the successor.
-
+    The classes are the orbits of the relabelings that fix the successor.
     Those relabelings (vertex permutations times rotations within each
     vertex) act freely on rooted maps, since a rooted map has no
     automorphism.  So (pairing, root r) is isomorphic to (g pairing g^-1,
     root 0) for any such g with g(r) = 0, and the classes with root 0 are
     told apart by their BFS canonical keys, computed once per pairing.
     """
+    _check_size(p, n)
     if n == 0 or (n * p) % 2:
         return ()
     m = n * p
@@ -309,18 +303,11 @@ def _rooted_maps(p: int, n: int):
     )
 
 
-# The public function exposes the (p, n)-keyed cache's statistics.
-enumerate_rooted_maps.cache_info = _rooted_maps.cache_info
-enumerate_rooted_maps.cache_clear = _rooted_maps.cache_clear
-
-
 @lru_cache(maxsize=None)
 def _multigraph_classes(p: int, n: int):
     """Rooted classes of I_n grouped by multigraph: ((representative, multiplicity), ...)."""
     groups = {}
-    # callers have checked the cap; the public entry point keeps the
-    # enumeration's time and cache statistics in one place
-    for cmap in enumerate_rooted_maps(p, n, cap=n * p):
+    for cmap in enumerate_rooted_maps(p, n):
         key = cmap.multigraph_key()
         if key in groups:
             groups[key][1] += 1
@@ -373,7 +360,7 @@ def _contraction_plan(p: int, n: int, N: int):
     return tuple(plan)
 
 
-def balanced_invariant(tensor: SymmetricTensor, n: int, cap: int = ENUMERATION_CAP) -> float:
+def balanced_invariant(tensor: SymmetricTensor, n: int) -> float:
     """I_n(T): sum of trace invariants over connected rooted classes, weight 1 each.
 
     I_0 = N by convention, so that the resolvent generating series
@@ -381,7 +368,7 @@ def balanced_invariant(tensor: SymmetricTensor, n: int, cap: int = ENUMERATION_C
     """
     if n == 0:
         return float(tensor.N)
-    _check_size(tensor.p, n, cap)
+    _check_size(tensor.p, n)
     plan = _contraction_plan(tensor.p, n, tensor.N)
     if not plan:
         return 0.0
@@ -442,7 +429,7 @@ def _loop_histogram(p: int, n: int):
     return tuple(sorted(hist.items()))
 
 
-def wick_expectation(p: int, N: int, n: int, cap: int = ENUMERATION_CAP) -> Fraction:
+def wick_expectation(p: int, N: int, n: int) -> Fraction:
     """Exact Gaussian expectation <I_n(T)>/N as a rational number.
 
     Sums over vertex matchings and slot permutations of the symmetrized
@@ -455,7 +442,7 @@ def wick_expectation(p: int, N: int, n: int, cap: int = ENUMERATION_CAP) -> Frac
         return Fraction(1)  # <I_0>/N with the I_0 = N convention
     if n % 2:
         return Fraction(0)
-    _check_size(p, n, cap)
+    _check_size(p, n)
     Nf = Fraction(N)
     pref = (Fraction(p) / Nf ** (p - 1) / math.factorial(p)) ** (n // 2)
     total = sum(count * Nf**c for c, count in _loop_histogram(p, n))
@@ -475,9 +462,7 @@ class InvariantEstimate:
     seed: int
 
 
-def mc_expected_invariant(
-    p: int, N: int, n: int, samples: int, seed: int, cap: int = ENUMERATION_CAP
-) -> InvariantEstimate:
+def mc_expected_invariant(p: int, N: int, n: int, samples: int, seed: int) -> InvariantEstimate:
     """Unbiased sample mean of I_n(T)/N over independent ensemble draws.
 
     Per-sample tensors use independent child streams derived from `seed`,
@@ -487,14 +472,14 @@ def mc_expected_invariant(
         raise DomainError("need at least one sample")
     if n == 0:
         return InvariantEstimate(n, p, N, 1.0, 0.0, samples, seed)
-    _check_size(p, n, cap)
+    _check_size(p, n)
     if not _multigraph_classes(p, n):
         return InvariantEstimate(n, p, N, 0.0, 0.0, samples, seed)
     child_seeds = np.random.SeedSequence(seed).generate_state(samples, dtype=np.uint64)
     vals = np.empty(samples)
     for i, s in enumerate(child_seeds):
         T = sample_goe(p, N, int(s))
-        vals[i] = balanced_invariant(T, n, cap) / N
+        vals[i] = balanced_invariant(T, n) / N
     std_error = vals.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0
     return InvariantEstimate(n, p, N, float(vals.mean()), float(std_error), samples, seed)
 

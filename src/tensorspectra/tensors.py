@@ -235,10 +235,11 @@ def contract_matrix(tensor: SymmetricTensor, x) -> np.ndarray:
     return _contract(tensor, x, tensor.p - 2)
 
 
-def matrix_resolvent(tensor: SymmetricTensor, w: complex, cond_limit: float = 1e13) -> complex:
+def matrix_resolvent(tensor: SymmetricTensor, w: complex) -> complex:
     """(1/N) tr (w - T)^{-1} = mean 1/(w - lambda) over the eigenvalues of T, for p = 2.
 
-    w - T is normal, so its condition number is max|w - lambda| / min|w - lambda|.
+    w - T is normal, so its condition number is max|w - lambda| / min|w - lambda|;
+    NearSingular is raised when it exceeds 1e13.
     """
     if tensor.p != 2:
         raise DomainError("matrix_resolvent requires an order-2 tensor")
@@ -246,7 +247,7 @@ def matrix_resolvent(tensor: SymmetricTensor, w: complex, cond_limit: float = 1e
     gaps = w - np.linalg.eigvalsh(tensor.to_dense())
     dist = np.abs(gaps)
     cond = dist.max() / dist.min() if dist.min() > 0 else math.inf
-    if not cond <= cond_limit:
+    if not cond <= 1e13:
         raise NearSingular(f"w - T is ill-conditioned (cond ~ {cond:.3e})", condition=cond)
     return complex(np.mean(1 / gaps))
 

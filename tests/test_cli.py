@@ -9,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tensorspectra.cli import main
+from tensorspectra.cli import _schema, main
+from tensorspectra.fuss_catalan import support_edge
+from tensorspectra.tensors import load_tensor
 
 
 def run_cli(argv, capsys):
@@ -196,11 +198,6 @@ def test_arithmetic_error_exits_3(capsys, argv):
     assert captured.err.startswith("numerical failure:")
 
 
-def test_density_method_flag_is_gone(capsys):
-    assert exit_code(["density", "--p", "3", "--method", "hypergeometric"]) == 2
-    assert capsys.readouterr().out == ""
-
-
 def test_density_large_p_has_no_interior_zero(capsys):
     code, out = run_cli(["density", "--p", "150", "--grid", "41"], capsys)
     assert code == 0
@@ -228,9 +225,46 @@ def test_moments_large_p_finishes_fast(capsys):
     assert elapsed < 1.0
 
 
-def test_threads_flag_is_gone(capsys):
-    assert exit_code(["spike", "--p", "3", "--b", "1", "--threads", "2"]) == 2
+# One cheap, valid invocation per subcommand.
+CHEAP_ARGV = {
+    "density": ["density", "--p", "3", "--grid", "5"],
+    "moments": ["moments", "--p", "2", "--nmax", "2"],
+    "resolvent": ["resolvent", "--p", "3", "--w", "4"],
+    "maps": ["maps", "--p", "3", "--n", "2"],
+    "invariants": ["invariants", "--p", "3", "--N", "4", "--n", "2"],
+    "sample": ["sample", "--p", "3", "--N", "3"],
+    "eigen": ["eigen", "--p", "3", "--N", "3", "--starts", "4"],
+    "spike": ["spike", "--p", "3", "--b", "1"],
+    "annealed": ["annealed", "--p", "3", "--w", "5"],
+    "borel": ["borel", "--p", "3", "--g", "0.1"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["density", "--p", "3", "--method", "hypergeometric"], id="density-method"),
+        pytest.param(["spike", "--p", "3", "--b", "1", "--threads", "2"], id="spike-threads"),
+    ]
+    + [
+        pytest.param(CHEAP_ARGV[name] + ["--format", "json"], id=f"{name}-format")
+        for name in sorted(CHEAP_ARGV)
+        if name != "borel"
+    ],
+)
+def test_removed_flag_exits_2(tmp_path, capsys, argv):
+    # --output keeps every argv valid without the removed flag (sample needs it)
+    assert exit_code(argv + ["--output", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("p", [256, 300, 1000])
+def test_spike_below_threshold_at_large_p_exits_0(capsys, p):
+    # b_t(p) is in the hundreds here; only the locus at b_t overflows a float
+    code, out = run_cli(["spike", "--p", str(p), "--b", "5"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[3].split(",")
+    assert float(row[2]) == pytest.approx(support_edge(p), rel=1e-12)
 
 
 JUNK = st.one_of(
@@ -351,17 +385,41 @@ def test_usage_error_names_flag():
 
 
 def test_schema_covers_all_subcommands():
-    from tensorspectra.cli import _schema, build_parser
-
     schema = _schema()
     sub = {
         "density", "moments", "resolvent", "maps", "invariants",
         "sample", "eigen", "spike", "annealed", "borel",
     }
     assert set(schema) == sub
-    # and --help epilogs carry the column docs
-    parser = build_parser()
-    assert parser._subparsers is not None
+
+
+@pytest.mark.parametrize("name", sorted(CHEAP_ARGV))
+def test_output_matches_schema_format(tmp_path, capsys, name):
+    entry = _schema()[name]
+    argv = list(CHEAP_ARGV[name])
+    if entry["format"] == "binary":
+        path = tmp_path / "t.bin"
+        code, out = run_cli(argv + ["--output", str(path)], capsys)
+        assert code == 0
+        assert load_tensor(str(path)).p == 3
+        config = json.loads(out)["meta"]["config"]
+    elif entry["format"] == "json":
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"meta", "data"}
+        config = payload["meta"]["config"]
+    else:
+        assert entry["format"] == "csv"
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("# tensorspectra ")
+        assert lines[1].startswith("# config: ")
+        assert lines[2] == ",".join(entry["columns"])
+        config = json.loads(lines[1].removeprefix("# config: "))
+    # only borel has a choice of format, so only its config echoes one
+    assert ("format" in config) == (name == "borel")
 
 
 IMPORT_PROBE = """

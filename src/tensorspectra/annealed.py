@@ -11,10 +11,16 @@ integration vector and the spike direction survives the large-N limit:
     f(theta, rho) = ln sin(theta) + ln rho - rho^2/2
                     + (b/(w p)) rho^p cos^p(theta) + rho^{2p}/(2 p w^2)
 
-The saddle equations always admit theta_0 = pi/2 (no-spike saddle) and at
-most one extra solution theta_1.  The detection threshold b_t and the
-singular locus y_c(b) follow from the scalar function
-h(v) = 1 - (p-1) v^{p-2} - b^{-2/(p-2)}/v.
+The saddle equations always admit theta_0 = pi/2 (no-spike saddle).  At
+real w = y > 0, with s = sin^2(theta) and T = rho^2 s = 1 + v, the second
+one is the closed-form curve s^{p-1} = (1+v)^p / (y^2 v) for v in
+[1/y^2, v_c], where v_c = 1/(p-1) is the branch point of T_p.  Along it s
+decreases (d ln s/dv is proportional to p/(1+v) - 1/v < 0), so the first
+equation's residual g = (b/y) rho^p (1-s)^{(p-2)/2} s - 1
+= (b/y) T^{p/2} (1/s - 1)^{(p-2)/2} - 1 increases in v (g = -1 where
+s >= 1): the extra saddle theta_1 exists iff g(v_c) >= 0, and is then the
+one root of g.  The detection threshold b_t and the singular locus y_c(b)
+follow from the scalar function h(x) = 1 - (p-1) x^{p-2} - b^{-2/(p-2)}/x.
 
 All f values reported here are evaluated from the defining expression
 above, never from reduced forms.
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutContact, DomainError, QuadratureFailure, RootFindFailure
-from .fuss_catalan import critical_point, fc_function, gl_panel, support_edge
+from .fuss_catalan import fc_function, gl_panel, support_edge
 
 __all__ = [
     "SaddlePoint",
@@ -218,30 +224,29 @@ class SaddleReport:
         return self.saddles[self.dominant_index]
 
 
-def _rho_sq_on_curve(p, y, s):
-    """rho^2(theta) from the second saddle equation, s = sin^2(theta), real y.
-
-    s >= s_min keeps u <= u_c, with equality at s_min; there the rounded u
-    can land above u_c by more than fc_function's 4 eps u_c allowance (seen
-    at p = 6), on the cut, so u is capped at u_c.
-    """
-    u = min(s ** (1 - p) / y**2, critical_point(p))
-    return fc_function(p, u) / s
+def _saddle_curve(p, y, x):
+    """(v, ln(1/s)) on the second saddle equation's curve at x = ln(y^2 v)."""
+    v = math.exp(x) / y / y
+    return v, (x - p * math.log1p(v)) / (p - 1)
 
 
-def _theta1_objective(p, w, b, s):
-    rho_sq = _rho_sq_on_curve(p, w, s)
-    val = (b / w) * complex(rho_sq) ** (p / 2) * (1 - s) ** ((p - 2) / 2) * s - 1.0
-    return val.real if abs(val.imag) < 1e-9 else math.nan
+def _theta1_objective(p, y, b, x):
+    """ln(1 + g) at x = ln(y^2 v), y > 0; where s >= 1, -1e300 (a finite
+    stand-in for -inf, which brentq's interpolation cannot use)."""
+    v, sigma = _saddle_curve(p, y, x)
+    if sigma <= 0:
+        return -1e300
+    return math.log(b / y) + p / 2 * math.log1p(v) + (p - 2) / 2 * math.log(math.expm1(sigma))
 
 
 def spike_saddles(p: int, w: complex, b: float) -> SaddleReport:
     """Saddle points of the spiked model at coupling w and SNR b.
 
-    Always contains the theta_0 = pi/2 saddle with rho_0^2 = T_p(w^{-2});
-    searches (theta_min, pi/2) for the single extra saddle theta_1 when w
-    is real.  The dominant saddle maximizes Re f, with f evaluated from
-    its defining expression.
+    Always contains the theta_0 = pi/2 saddle with rho_0^2 = T_p(w^{-2}).
+    At real w it adds theta_1, the one root of the residual g, which
+    increases along the closed-form curve of the second saddle equation
+    (module docstring); theta_1 exists iff g(v_c) >= 0.  The dominant
+    saddle maximizes Re f, with f evaluated from its defining expression.
     """
     if p < 3:
         raise DomainError("the spiked model requires p >= 3")
@@ -257,15 +262,12 @@ def spike_saddles(p: int, w: complex, b: float) -> SaddleReport:
             theta1_error = "theta_1 search implemented for real w only"
         else:
             y = w.real
-            s_min = (critical_point(p) * y * y) ** (-1.0 / (p - 1))
             try:
-                s1 = _find_theta1(p, y, b, s_min)
+                s1, rho1_sq = _find_theta1(p, y, b)
             except RootFindFailure as exc:
                 theta1_error = str(exc)
-                s1 = None
-            if s1 is not None:
+            else:
                 theta1 = math.asin(math.sqrt(s1))
-                rho1_sq = _rho_sq_on_curve(p, y, s1)
                 r1, r2 = saddle_equation_residuals(p, y, b, theta1, rho1_sq)
                 if max(abs(r1), abs(r2)) > 1e-8:
                     theta1_error = f"theta_1 candidate rejected (residual {max(abs(r1), abs(r2)):.2e})"
@@ -278,35 +280,30 @@ def spike_saddles(p: int, w: complex, b: float) -> SaddleReport:
     return SaddleReport(p, w, float(b), tuple(saddles), dominant, theta1_error)
 
 
-def _find_theta1(p, y, b, s_min):
-    """Root of the reduced scalar equation in s = sin^2(theta).
+def _find_theta1(p, y, b):
+    """(s, rho^2) at the root of g, sought as the root of ln(1 + g) in
+    x = ln(y^2 v) over [0, ln(y^2 v_c)]: v and g span hundreds of decades.
+    x is resolved to 1e-16, below which s stops changing.
 
-    Brackets on (s_min, 1); the boundary s = s_min (where the Fuss-Catalan
-    argument hits its branch point) is itself accepted when the equation
-    vanishes there, which happens exactly at the detection threshold.
+    v_c itself is accepted when g vanishes there, which happens exactly at
+    the detection threshold.  There is no root at y < 0, where g < 0.
     """
-    g_min = _theta1_objective(p, y, b, s_min)
-    if math.isfinite(g_min) and abs(g_min) < 1e-10:
-        return s_min
-    # cluster grid points toward the s_min endpoint where T_p varies fastest
-    t = np.linspace(0.0, 1.0, 400)
-    grid = s_min + (1.0 - 1e-9 - s_min) * t**2
-    vals = np.array([_theta1_objective(p, y, b, s) for s in grid])
-    finite = np.isfinite(vals)
-    sign_change = None
-    for i in range(len(grid) - 1):
-        if finite[i] and finite[i + 1] and vals[i] * vals[i + 1] < 0:
-            sign_change = (grid[i], grid[i + 1])
-            break
-    if sign_change is None:
+    x_c = 2 * math.log(abs(y)) - math.log(p - 1)
+    ln_g1 = _theta1_objective(p, y, b, x_c) if y > 0 else -math.inf
+    if ln_g1 < -1e-10:
         raise RootFindFailure(
             f"no theta_1 bracket for p={p}, w={y}, b={b} (no real extra saddle)"
         )
-    from scipy.optimize import brentq  # deferred: importing scipy takes ~0.6 s
+    x = x_c
+    if ln_g1 > 1e-10:
+        from scipy.optimize import brentq  # deferred: importing scipy takes ~0.6 s
 
-    return brentq(
-        lambda s: _theta1_objective(p, y, b, s), *sign_change, xtol=1e-15, rtol=1e-15
-    )
+        x = brentq(lambda t: _theta1_objective(p, y, b, t), 0.0, x_c, xtol=1e-16, rtol=1e-15)
+    v, sigma = _saddle_curve(p, y, x)
+    s = math.exp(-sigma)
+    if s >= 1:
+        raise RootFindFailure(f"theta_1 for p={p}, w={y}, b={b} rounds to pi/2")
+    return s, complex((1 + v) / s)
 
 
 # --------------------------------------------------------------- threshold

@@ -128,7 +128,7 @@ def _line_quadrature(coef2, coefp, p, rtol=1e-12):
 
 
 def _line_quadrature_mp(coef2, coefp, p, dps):
-    import mpmath  # deferred, like scipy below: only this fallback needs it
+    import mpmath  # deferred: only this fallback needs it
 
     with mpmath.workdps(dps):
         c2 = mpmath.mpc(coef2)
@@ -245,11 +245,9 @@ def taylor_rest_check(
     cosfac = math.cos(ang)
     if cosfac <= 0:
         raise OutsideWedge("cosine factor nonpositive: outside the extended sector")
-    from scipy.special import gammaln
-
-    log_moment = gammaln(n * p + 1) - (n * p / 2) * math.log(2) - gammaln(n * p / 2 + 1)
+    log_moment = math.lgamma(n * p + 1) - (n * p / 2) * math.log(2) - math.lgamma(n * p / 2 + 1)
     bound = (
-        math.exp(log_moment - gammaln(n + 1))
+        math.exp(log_moment - math.lgamma(n + 1))
         * g_abs ** (n * (p - 2) / 2)
         / p**n
         / cosfac ** (n * p + 0.5)

@@ -181,20 +181,14 @@ def _newton_batch(tensor, x0, tol, max_iter=200):
 
 def _canonical_sign(lam, x, p):
     """Pick the class representative: for odd p identify (lam,x) ~ (-lam,-x),
-    for even p (lam,x) ~ (lam,-x); ties broken by the first nonzero entry."""
-    flip = False
+    for even p (lam,x) ~ (lam,-x); ties broken by the first nonzero entry.
+    At odd p the representative's lam is abs(lam), so lam = 0 is +0.0."""
+    nz = np.nonzero(x)[0]
+    negative_lead = len(nz) > 0 and x[nz[0]] < 0
     if p % 2:
-        if lam < 0:
-            flip = True
-        elif lam == 0:
-            nz = np.nonzero(x)[0]
-            flip = len(nz) > 0 and x[nz[0]] < 0
-    else:
-        nz = np.nonzero(x)[0]
-        flip = len(nz) > 0 and x[nz[0]] < 0
-    if flip:
-        return (-lam if p % 2 else lam), -x
-    return lam, x
+        flip = lam < 0 or (lam == 0 and negative_lead)
+        return abs(lam), (-x if flip else x)
+    return lam, (-x if negative_lead else x)
 
 
 def find_real_eigenpairs(

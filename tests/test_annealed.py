@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from tensorspectra.annealed import (
+    _theta1_objective,
     annealed_logZ,
     annealed_resolvent,
     h_function,
@@ -251,14 +253,90 @@ def test_singular_locus_monotone_above_threshold():
     assert grid[-1] > 100  # grows without bound
 
 
-def test_theta1_exists_below_locus_only():
-    # the extra saddle's Fuss-Catalan argument reaches the branch point
-    # exactly at y_c: real theta_1 for y <= y_c, gone above
-    y_c = singular_locus(3, 3.0)
-    below = spike_saddles(3, y_c * (1 - 1e-3), 3.0)
-    above = spike_saddles(3, y_c * (1 + 1e-3), 3.0)
-    assert len(below.saddles) == 2
+def _b_t(p):
+    return spike_threshold(p).b_t
+
+
+@pytest.mark.parametrize(
+    "p,b",
+    [
+        (3, 3.0),
+        (4, 45.0),
+        (6, 5 * _b_t(6)),
+        (13, 1.001 * _b_t(13)),
+        (50, 2 * _b_t(50)),
+        (100, 1.1 * _b_t(100)),
+    ],
+)
+def test_theta1_exists_below_locus_only(p, b):
+    # the extra saddle reaches the branch point v_c of the curve exactly at
+    # y_c: real theta_1 for y <= y_c, certified by its residuals, gone above
+    y_c = singular_locus(p, b)
+    below = spike_saddles(p, y_c * (1 - 1e-3), b)
+    above = spike_saddles(p, y_c * (1 + 1e-3), b)
+    assert len(below.saddles) == 2, below.theta1_error
+    r1, r2 = saddle_equation_residuals(p, below.w, b, below.saddles[1].theta, below.saddles[1].rho_sq)
+    assert max(abs(r1), abs(r2)) <= 1e-8
     assert len(above.saddles) == 1 and above.theta1_error is not None
+
+
+def _mp_saddle(p, y, b, theta, rho_sq):
+    """(sin^2 theta, rho^2) of the root of r1 = r2 = 0 near (theta, rho_sq),
+    by Newton at 40 digits; r1 is divided by cos^2 theta, which only drops
+    the theta = pi/2 solution."""
+    with mpmath.workdps(40):
+        p_, y_, b_ = mpmath.mpf(p), mpmath.mpf(y), mpmath.mpf(b)
+
+        def equations(t, r):
+            s = mpmath.sin(t) ** 2
+            return [(b_ / y_) * r ** (p_ / 2) * mpmath.cos(t) ** (p_ - 2) - 1 / s,
+                    1 / s - r + r**p_ / y_**2]
+
+        t, r = mpmath.findroot(equations, (mpmath.mpf(theta), mpmath.mpf(rho_sq)))
+        return mpmath.sin(t) ** 2, r
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 8, 20, 50])
+def test_theta1_matches_mpmath_reference(p):
+    # theta_1 beside the locus against the saddle equations solved directly
+    # in (theta, rho^2) at 40 digits
+    for ratio in (1.001, 1.1, 2, 5):
+        b = ratio * _b_t(p)
+        y = singular_locus(p, b) * (1 - 1e-3)
+        rep = spike_saddles(p, y, b)
+        assert len(rep.saddles) == 2, (ratio, rep.theta1_error)
+        theta1 = rep.saddles[1]
+        s_ref, rho_sq_ref = _mp_saddle(p, y, b, theta1.theta, theta1.rho_sq.real)
+        assert abs(math.sin(theta1.theta) ** 2 - s_ref) <= 1e-13 * s_ref, ratio
+        assert abs(theta1.rho_sq - rho_sq_ref) <= 1e-13 * rho_sq_ref, ratio
+
+
+@pytest.mark.parametrize("p", [3, 4, 6, 13, 50])
+def test_theta1_residual_increases_along_the_curve(p):
+    # the claim the theta_1 search rests on: on the second saddle equation's
+    # curve s(v) = ((1+v)^p/(y^2 v))^{1/(p-1)}, rho^2 = (1+v)/s, the first
+    # equation's residual g = (b/y) rho^p (1-s)^{(p-2)/2} s - 1 (-1 where
+    # s >= 1) is nondecreasing in v on [1/y^2, v_c].  Checked on a dense
+    # grid in 30-digit arithmetic, and the search's ln(1 + g) agrees.
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        b = _b_t(p) * 10 ** rng.uniform(0, 2)
+        y = max(singular_locus(p, b) * 10 ** rng.uniform(-1, 0.2), 1.001 * support_edge(p))
+        x_c = math.log(y * y / (p - 1))  # the search variable x = ln(y^2 v)
+        with mpmath.workdps(30):
+            y_, g = mpmath.mpf(y), []
+            for x in np.concatenate([[0.0], np.geomspace(1e-9 * x_c, x_c, 400)]):
+                v = mpmath.exp(x) / y_**2
+                s = ((1 + v) ** p / (y_**2 * v)) ** (mpmath.mpf(1) / (p - 1))
+                if s >= 1:
+                    g.append(-1)
+                    continue
+                one_plus_g = (b / y_) * ((1 + v) / s) ** (mpmath.mpf(p) / 2) * (1 - s) ** (
+                    mpmath.mpf(p - 2) / 2) * s
+                g.append(one_plus_g - 1)
+                assert _theta1_objective(p, y, b, x) == pytest.approx(
+                    float(mpmath.log(one_plus_g)), rel=1e-9, abs=1e-9)
+            assert all(a <= c for a, c in zip(g, g[1:])), (b, y)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +365,8 @@ def test_spike_rejects_bad_b(b):
 
 
 def test_theta1_found_where_u_rounds_past_the_branch_point():
-    # at p = 6 the s = s_min endpoint's u = s^{1-p}/y^2 rounds above u_c
+    # theta_1 at this p = 6 probe lies next to the branch point v_c of its
+    # curve, the end of the search interval: it must be found and certified
     y = singular_locus(6, 9.5) * (1 - 1e-3)
     rep = spike_saddles(6, y, 9.5)
     assert len(rep.saddles) == 2

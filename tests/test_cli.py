@@ -151,8 +151,9 @@ def test_spike_sweep_shows_jump(capsys):
 
 
 def test_spike_p6_branch_point_rounding(capsys):
-    # theta_1's search endpoint sits on T_6's branch point; the rounded
-    # argument used to land on the cut and exit 3
+    # theta_1 at this p = 6 probe lies next to the branch point v_c of its
+    # curve, the end of the search interval: the row must exit 0 with a
+    # finite locus and an f1 value
     code, out = run_cli(["spike", "--p", "6", "--b", "9.5"], capsys)
     assert code == 0
     row = out.strip().splitlines()[3].split(",")
@@ -302,9 +303,9 @@ SWEEPS = st.one_of(
 @st.composite
 def cheap_invocations(draw):
     command = draw(st.sampled_from(["resolvent", "moments", "density", "spike", "borel"]))
-    # density and moments hold at every p; the others stay at small p to
-    # keep the test fast.
-    top = 1000 if command in ("moments", "density") else 9
+    # density, moments and spike hold at every p; the others stay at small p
+    # to keep the test fast.
+    top = 1000 if command in ("moments", "density", "spike") else 9
     argv = [command, "--p", draw(counts(-2, top))]
     if command == "resolvent":
         for token in draw(st.lists(TOKENS, min_size=1, max_size=3)):

@@ -156,6 +156,13 @@ def test_zero_tensor_every_start_is_an_eigenpair():
     assert all(pair.lam == 0 and pair.residual == 0 for pair in pairs)
 
 
+def test_zero_eigenvalue_is_positive_zero_at_odd_p():
+    # the odd-p class representative takes lam >= 0, so lam = 0 is +0.0
+    # whatever the sign of x; -0.0 would print as "-0.0"
+    pairs = find_real_eigenpairs(SymmetricTensor.zeros(3, 4), n_starts=5, seed=0)
+    assert [math.copysign(1.0, pair.lam) for pair in pairs] == [1.0] * 5
+
+
 # --------------------------------------- batched solver vs the one-start loop
 
 def reference_gradient(tensor, x):

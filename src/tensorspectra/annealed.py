@@ -356,7 +356,14 @@ def spike_threshold(p: int) -> ThresholdResult:
 def _y_c_from_root(p, v):
     # invert v = y^{-2/((p-1)(p-2))} (p-1)^{-2/(p-2)} p^{p/((p-1)(p-2))}
     D = (p - 1) * (p - 2)
-    return v ** (-D / 2) * (p - 1) ** (-(p - 1)) * p ** (p / 2)
+    try:
+        return v ** (-D / 2) * (p - 1) ** (-(p - 1)) * p ** (p / 2)
+    except OverflowError:
+        # v^{-D/2} alone overflows where y_c need not: take the (p-1)th root first
+        y = (v ** (-(p - 2) / 2) / (p - 1)) ** (p - 1) * p ** (p / 2)
+        if math.isinf(y):
+            raise
+        return y
 
 
 def singular_locus(p: int, b: float) -> float:

@@ -273,7 +273,9 @@ def _column_help(name):
     return entry.get("data", "")
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The one parser of this process; argparse keeps no state between parses."""
     parser = argparse.ArgumentParser(
         prog="tensorspectra",
         description="Spectral laws, invariants and saddle analysis of random symmetric tensors.",

@@ -80,6 +80,15 @@ def full_index_map(p: int, N: int) -> np.ndarray:
     return rank_at[np.ravel_multi_index(every, shape)]
 
 
+@lru_cache(maxsize=None)
+def _goe_scale(p: int, N: int) -> np.ndarray:
+    """Read-only standard deviations sqrt(p / (N^{p-1} c(mu))) of the packed components."""
+    _, _, counts = multiset_table(p, N)
+    scale = np.sqrt(p / (float(N) ** (p - 1) * counts))
+    scale.setflags(write=False)
+    return scale
+
+
 class SymmetricTensor:
     """Order-p symmetric tensor over R^N, immutable after construction."""
 
@@ -115,7 +124,7 @@ class SymmetricTensor:
     def to_dense(self) -> np.ndarray:
         """Dense N^p array (cached); convenient for einsum contractions."""
         if self._dense is None:
-            dense = self.data[full_index_map(self.p, self.N)]
+            dense = self.data.take(full_index_map(self.p, self.N))
             dense = dense.reshape((self.N,) * self.p)
             dense.setflags(write=False)
             self._dense = dense
@@ -153,10 +162,11 @@ def sample_goe(p: int, N: int, seed: int) -> SymmetricTensor:
     symmetrized propagator (p/N^{p-1}) (1/p!) sum_sigma prod delta.
     Deterministic in (p, N, seed) via a counter-based Philox stream.
     """
-    _, _, counts = multiset_table(p, N)
+    scale = _goe_scale(p, N)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    sigma = np.sqrt(p / (float(N) ** (p - 1) * counts))
-    return SymmetricTensor(p, N, rng.standard_normal(len(counts)) * sigma, seed=seed)
+    data = rng.standard_normal(len(scale))
+    data *= scale
+    return SymmetricTensor(p, N, data, seed=seed)
 
 
 @dataclass(frozen=True)

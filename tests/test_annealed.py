@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from tensorspectra import annealed
 from tensorspectra.annealed import (
     _theta1_objective,
+    _y_c_from_root,
     annealed_logZ,
     annealed_resolvent,
     h_function,
@@ -354,6 +356,36 @@ def test_singular_locus_values_above_threshold(p, b, y_c_hex):
     # bit-exact values of the continuity-selected h-root, frozen from the
     # implementation that also ran a Re f dominance check beside it
     assert singular_locus(p, b).hex() == y_c_hex
+
+
+@pytest.mark.parametrize("p, b_over_bt", [(68, 1000.0), (103, 10.0), (150, 2.0)])
+def test_singular_locus_where_the_direct_power_overflows(monkeypatch, p, b_over_bt):
+    # y_c ~ 1e228..1e278 is finite although v^{-(p-1)(p-2)/2} alone is not
+    roots = []
+
+    def spy(p, v):
+        roots.append(v)
+        return _y_c_from_root(p, v)
+
+    monkeypatch.setattr(annealed, "_y_c_from_root", spy)
+    y_c = singular_locus(p, b_over_bt * spike_threshold(p).b_t)
+    (v,) = roots
+    with pytest.raises(OverflowError):
+        v ** (-(p - 1) * (p - 2) / 2)
+    with mpmath.workdps(40):
+        log_y = (
+            -mpmath.mpf((p - 1) * (p - 2)) / 2 * mpmath.log(v)
+            - (p - 1) * mpmath.log(p - 1)
+            + mpmath.mpf(p) / 2 * mpmath.log(p)
+        )
+        assert float(abs(y_c / mpmath.exp(log_y) - 1)) < 1e-13
+
+
+@pytest.mark.parametrize("p, b_over_bt", [(250, 1.01), (255, 1.5)])
+def test_singular_locus_beyond_a_double_raises(p, b_over_bt):
+    # y_c > 1.8e308 here; the root-first product would round to inf
+    with pytest.raises(OverflowError):
+        singular_locus(p, b_over_bt * spike_threshold(p).b_t)
 
 
 @pytest.mark.parametrize("b", [math.nan, math.inf, -1.0])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tensorspectra import cli
 from tensorspectra.cli import _schema, main
 from tensorspectra.fuss_catalan import support_edge
 from tensorspectra.tensors import load_tensor
@@ -421,6 +423,80 @@ def test_output_matches_schema_format(tmp_path, capsys, name):
         config = json.loads(lines[1].removeprefix("# config: "))
     # only borel has a choice of format, so only its config echoes one
     assert ("format" in config) == (name == "borel")
+
+
+# ----------------------------------------------------- one parser per process
+
+def fresh_processes(argvs, env):
+    """(exit code, stdout, stderr) of each argv, each run in a new interpreter."""
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "tensorspectra.cli", *argv], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for argv in argvs
+    ]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate()
+        results.append((proc.returncode, out.decode(), err.decode()))
+    return results
+
+
+def in_process(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this interpreter."""
+    code = exit_code(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+REUSE_SEQUENCE = [
+    ["resolvent", "--p", "3", "--w", "4", "--w", "5"],
+    ["resolvent", "--p", "3", "--w", "4", "--output", "resolvent.csv"],
+    ["density", "--grid", "10"],  # usage error: --p is missing
+    ["eigen", "--p", "3", "--N", "3", "--starts", "4", "--output", "eigen.json"],
+    ["spike", "--p", "3", "--b", "4"],
+    ["borel", "--p", "3", "--g", "0.1", "--format", "json"],
+    ["density", "--p", "3", "--grid", "5", "--output", "density.csv"],
+]
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # relative --output paths keep the config echo equal across the two outdirs
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "warm").mkdir()
+    (tmp_path / "cold").mkdir()
+    monkeypatch.setenv("TENSORSPECTRA_OUTDIR", str(tmp_path / "warm"))
+    warm = [in_process(argv, capsys) for argv in REUSE_SEQUENCE]
+    cold_env = dict(os.environ, TENSORSPECTRA_OUTDIR=str(tmp_path / "cold"))
+    cold = fresh_processes(REUSE_SEQUENCE, cold_env)
+    assert [code for code, _, _ in warm] == [0, 0, 2, 0, 0, 0, 0]
+    assert warm == cold
+    files = sorted(path.name for path in (tmp_path / "cold").iterdir())
+    assert files == ["density.csv", "eigen.json", "resolvent.csv"]
+    for name in files:
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+    # the second resolvent call starts from a fresh --w list
+    lines = (tmp_path / "warm" / "resolvent.csv").read_text().splitlines()
+    assert json.loads(lines[1].removeprefix("# config: "))["w"] == ["4"]
+    assert len(lines) == 4 and lines[3].startswith("4,0,")
+
+
+def test_help_of_reused_parser_matches_fresh_processes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [[name, "--help"] for name in sorted(CHEAP_ARGV)]
+    narrow = fresh_processes(argvs, dict(os.environ))
+    for argv, expected in zip(argvs, narrow):
+        assert expected[0] == 0 and expected[1]
+        assert in_process(argv, capsys) == expected
+        assert in_process(argv, capsys) == expected
+    # the help width is read when help is formatted, not when the parser is built
+    monkeypatch.setenv("COLUMNS", "120")
+    (wide,) = fresh_processes(argvs[:1], dict(os.environ))
+    assert wide != narrow[0]
+    assert in_process(argvs[0], capsys) == wide
 
 
 IMPORT_PROBE = """

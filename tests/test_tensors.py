@@ -120,6 +120,19 @@ def test_sampling_determinism():
     assert not np.array_equal(a.data, c.data)
 
 
+@pytest.mark.parametrize("p, N", [(3, 12), (3, 32), (3, 64), (4, 12), (5, 8)])
+def test_sampling_bits_match_the_direct_formulas(p, N):
+    # the cached per-(p, N) scale and the gather must not move a single bit
+    _, _, counts = multiset_table(p, N)
+    for seed in (0, 1, 7):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        data = rng.standard_normal(len(counts)) * np.sqrt(p / (float(N) ** (p - 1) * counts))
+        dense = data[full_index_map(p, N)].reshape((N,) * p)
+        T = sample_goe(p, N, seed)
+        assert T.data.tobytes() == data.tobytes()
+        assert T.to_dense().tobytes() == dense.tobytes()
+
+
 def test_sampling_variances_match_multiplicity_classes():
     # p=3, N=6: var(T_mu) = p/(N^{p-1} c(mu)); >= 1e5 samples, 5 sigma bands
     p, N, M = 3, 6, 100_000

@@ -232,7 +232,7 @@ def _saddle_curve(p, y, x):
 
 def _theta1_objective(p, y, b, x):
     """ln(1 + g) at x = ln(y^2 v), y > 0; where s >= 1, -1e300 (a finite
-    stand-in for -inf, which brentq's interpolation cannot use)."""
+    stand-in for -inf, which Brent's interpolation cannot use)."""
     v, sigma = _saddle_curve(p, y, x)
     if sigma <= 0:
         return -1e300
@@ -280,6 +280,72 @@ def spike_saddles(p: int, w: complex, b: float) -> SaddleReport:
     return SaddleReport(p, w, float(b), tuple(saddles), dominant, theta1_error)
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq's C loop, with its
+    arithmetic and branch order, so it returns scipy's root bit for bit.
+    Where scipy raises (a NaN value of f, no sign change over [a, b], no
+    convergence in maxiter iterations), this raises RootFindFailure.
+    The sign tests compare with 0 where C tests signbit: the two agree on
+    the nonzero, non-NaN values they see.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise RootFindFailure(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise RootFindFailure(f"f({a!r}) and f({b!r}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by 0 to inf or NaN, which the test below rejects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RootFindFailure(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def _find_theta1(p, y, b):
     """(s, rho^2) at the root of g, sought as the root of ln(1 + g) in
     x = ln(y^2 v) over [0, ln(y^2 v_c)]: v and g span hundreds of decades.
@@ -296,9 +362,7 @@ def _find_theta1(p, y, b):
         )
     x = x_c
     if ln_g1 > 1e-10:
-        from scipy.optimize import brentq  # deferred: importing scipy takes ~0.6 s
-
-        x = brentq(lambda t: _theta1_objective(p, y, b, t), 0.0, x_c, xtol=1e-16, rtol=1e-15)
+        x = _brentq(lambda t: _theta1_objective(p, y, b, t), 0.0, x_c, xtol=1e-16, rtol=1e-15)
     v, sigma = _saddle_curve(p, y, x)
     s = math.exp(-sigma)
     if s >= 1:
@@ -393,9 +457,7 @@ def singular_locus(p: int, b: float) -> float:
         lo /= 2
         if lo < 1e-300:
             raise RootFindFailure("failed to bracket the lower root of h")
-    from scipy.optimize import brentq
-
-    v_minus = brentq(lambda v: h_function(p, b, v), lo, v_m, xtol=1e-300, rtol=1e-15)
+    v_minus = _brentq(lambda v: h_function(p, b, v), lo, v_m, xtol=1e-300, rtol=1e-15)
     return _y_c_from_root(p, v_minus)
 
 

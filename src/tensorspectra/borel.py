@@ -127,21 +127,27 @@ def _line_quadrature(coef2, coefp, p, rtol=1e-12):
     raise QuadratureFailure("tilted-line quadrature did not converge")
 
 
-def _line_quadrature_mp(coef2, coefp, p, dps):
+def _sector_Z_mp(p, g_abs, q, alpha):
+    """sector_Z as an mpmath number at the working precision (call it under
+    mpmath.workdps), given alpha as an mpmath number.
+
+    The tilt angle, both line coefficients and the Jacobian e^{i theta} are
+    all computed at that precision: rounding any one of them to a double
+    moves Z_q by ~1e-17, far more than the jumps this route resolves.
+    """
     import mpmath  # deferred: only this fallback needs it
 
-    with mpmath.workdps(dps):
-        c2 = mpmath.mpc(coef2)
-        cp = mpmath.mpc(coefp)
-        cosfac = float(coef2.real)
-        R = mpmath.sqrt(2 * mpmath.log(mpmath.mpf(10) ** (dps + 8)) / cosfac)
-
-        def integrand(x):
-            return mpmath.exp(-c2 * x**2 / 2 + cp * x**p)
-
-        val = mpmath.quad(integrand, [-R, 0, R])
-        val = val / mpmath.sqrt(2 * mpmath.pi)
-        return complex(val)
+    omega = 2 * mpmath.pi / (p - 2)
+    theta = mpmath.mpf(p - 2) / (2 * p) * ((q + mpmath.mpf(0.5)) * omega - alpha)
+    coef2 = mpmath.expj(2 * theta)
+    coefp = (
+        mpmath.mpf(g_abs) ** (mpmath.mpf(p - 2) / 2)
+        * mpmath.expj((p - 2) * alpha / 2 + p * theta)
+        / p
+    )
+    R = mpmath.sqrt(2 * mpmath.log(mpmath.mpf(10) ** (mpmath.mp.dps + 8)) / coef2.real)
+    val = mpmath.quad(lambda x: mpmath.exp(-coef2 * x**2 / 2 + coefp * x**p), [-R, 0, R])
+    return mpmath.expj(theta) * val / mpmath.sqrt(2 * mpmath.pi)
 
 
 def sector_Z(
@@ -150,15 +156,13 @@ def sector_Z(
     q: int,
     *,
     alpha: float | None = None,
-    dps: int | None = None,
     tilt_offset: float = 0.0,
 ) -> complex:
     """Sector partition function Z_q at coupling g.
 
     g may be complex (angle resolved into sector q's wedge) or a
     magnitude with the angle passed explicitly via `alpha` (kept as a real
-    number, so the two sides of a cut are distinguishable).  `dps` switches
-    to high-precision quadrature with that many digits.  `tilt_offset`
+    number, so the two sides of a cut are distinguishable).  `tilt_offset`
     turns the integration line away from its default angle; within the
     wedge the value does not depend on it.
     """
@@ -170,8 +174,6 @@ def sector_Z(
     coef2 = cmath.exp(2j * theta)
     coefp = g_abs ** ((p - 2) / 2) * cmath.exp(1j * (p - 2) / 2 * alpha + 1j * p * theta) / p
     # e^{i theta}: Jacobian of the rotation phi = e^{i theta} x
-    if dps is not None:
-        return cmath.exp(1j * theta) * _line_quadrature_mp(coef2, coefp, p, dps)
     return cmath.exp(1j * theta) * _line_quadrature(coef2, coefp, p)
 
 
@@ -187,13 +189,19 @@ def discontinuity(p: int, g_abs: float, q: int) -> complex:
     if g_abs <= 0:
         raise DomainError("g_abs must be positive")
     spec = SectorSpec(p, q)
-    dps = 40 if math.exp(-(p - 2) / (2 * p * g_abs)) < 1e-9 else None
-    upper = sector_Z(p, g_abs, q, alpha=q * spec.omega, dps=dps)
-    if q >= 1:
-        lower = sector_Z(p, g_abs, q - 1, alpha=q * spec.omega, dps=dps)
-    else:
-        lower = sector_Z(p, g_abs, p - 3, alpha=(p - 2) * spec.omega, dps=dps)
-    return upper - lower
+    # the lower side: Z_{q-1} at the same angle, or Z_{p-3} one turn on
+    q_lower, k_lower = (q - 1, q) if q >= 1 else (p - 3, p - 2)
+    if math.exp(-(p - 2) / (2 * p * g_abs)) < 1e-9:
+        # subtract at 40 digits and round only the difference: rounding each
+        # O(1) sector to a double first would leave ~1e-16 of noise
+        import mpmath
+
+        with mpmath.workdps(40):
+            omega = 2 * mpmath.pi / (p - 2)
+            upper = _sector_Z_mp(p, g_abs, q, q * omega)
+            return complex(upper - _sector_Z_mp(p, g_abs, q_lower, k_lower * omega))
+    upper = sector_Z(p, g_abs, q, alpha=q * spec.omega)
+    return upper - sector_Z(p, g_abs, q_lower, alpha=k_lower * spec.omega)
 
 
 def instanton_discontinuity(p: int, g_abs: float) -> complex:

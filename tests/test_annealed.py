@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -18,7 +19,7 @@ from tensorspectra.annealed import (
     spike_saddles,
     spike_threshold,
 )
-from tensorspectra.errors import CutContact, DomainError
+from tensorspectra.errors import CutContact, DomainError, RootFindFailure
 from tensorspectra.fuss_catalan import expected_resolvent, fc_function, support_edge
 
 
@@ -415,3 +416,78 @@ def test_spike_locus_probe_side(p):
     below, above = spike_locus(p, 0.5 * b_t), spike_locus(p, 2.0 * b_t)
     assert below.probe.w == below.y_c * (1 + 1e-3)
     assert above.probe.w == above.y_c * (1 - 1e-3)
+
+
+# ------------------------------------------------------------ Brent's method
+
+def _recorded_brent_calls(monkeypatch):
+    """(f, a, b, xtol, rtol) of every root search that singular_locus and
+    spike_saddles make over seeded (p, b, y) around the locus."""
+    calls = []
+    port = annealed._brentq
+
+    def spy(f, a, b, xtol, rtol):
+        calls.append((f, a, b, xtol, rtol))
+        return port(f, a, b, xtol, rtol)
+
+    monkeypatch.setattr(annealed, "_brentq", spy)
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        p = int(rng.integers(3, 201))
+        try:
+            singular_locus(p, spike_threshold(p).b_t * 10 ** rng.uniform(1e-9, 4))
+        except OverflowError:  # y_c beyond a double, after the root search
+            pass
+    for _ in range(1500):
+        p = int(rng.integers(3, 61))
+        b = spike_threshold(p).b_t * 10 ** rng.uniform(1e-9, 3)
+        y_c = singular_locus(p, b)
+        if y_c < 1e150:  # the probe saddles overflow beyond ~1e154
+            spike_saddles(p, y_c * rng.uniform(0.6, 1.02), b)
+    monkeypatch.undo()
+    return calls
+
+
+def test_brentq_port_is_bitwise_scipy(monkeypatch):
+    from scipy.optimize import brentq
+
+    calls = _recorded_brent_calls(monkeypatch)
+    sites = [c[3:] for c in calls]
+    # h_function from singular_locus, _theta1_objective from _find_theta1
+    assert sites.count((1e-300, 1e-15)) >= 1500 and sites.count((1e-16, 1e-15)) >= 1000
+    port = annealed._brentq
+    roots = []
+    for f, a, b, xtol, rtol in calls:
+        x = port(f, a, b, xtol, rtol)
+        assert x == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b)
+        roots.append(x)
+
+    def both_raise_or_agree(scipy_error, make_f, a, b, xtol, rtol, **kw):
+        # make_f() gives each solver a fresh f, as f may count its calls
+        try:
+            expected = brentq(make_f(), a, b, xtol=xtol, rtol=rtol, **kw)
+        except scipy_error:
+            with pytest.raises(RootFindFailure):
+                port(make_f(), a, b, xtol, rtol, **kw)
+            return True
+        assert port(make_f(), a, b, xtol, rtol, **kw) == expected
+        return False
+
+    def nan_on_call(f, k):
+        count = itertools.count(1)
+        return lambda x: math.nan if next(count) == k else f(x)
+
+    raised = {"maxiter": 0, "nan": 0, "sign": 0}
+    for (f, a, b, xtol, rtol), root in zip(calls[::10], roots[::10]):
+        same = lambda f=f: f
+        for maxiter in (3, 8):  # 8 is about the median iteration count
+            raised["maxiter"] += both_raise_or_agree(
+                RuntimeError, same, a, b, xtol, rtol, maxiter=maxiter
+            )
+        for k in (1, 2, 4):
+            nan_k = lambda f=f, k=k: nan_on_call(f, k)
+            raised["nan"] += both_raise_or_agree(ValueError, nan_k, a, b, xtol, rtol)
+        # a half of the bracket that stops short of the root: no sign change
+        raised["sign"] += both_raise_or_agree(ValueError, same, a, a + (root - a) / 2, xtol, rtol)
+    n = len(calls[::10])
+    assert n < raised["maxiter"] < 2 * n and raised["nan"] == 3 * n and raised["sign"] == n, raised

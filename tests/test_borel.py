@@ -2,11 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from tensorspectra.borel import (
     SectorSpec,
+    _sector_Z_mp,
     discontinuity,
     instanton_discontinuity,
     instanton_points,
@@ -86,7 +88,8 @@ def test_sector_Z_agrees_with_optimal_truncation():
 
 def test_sector_Z_high_precision_matches_doubles():
     a = sector_Z(3, 0.05, 0, alpha=math.pi)
-    b = sector_Z(3, 0.05, 0, alpha=math.pi, dps=30)
+    with mpmath.workdps(30):
+        b = complex(_sector_Z_mp(3, 0.05, 0, mpmath.mpf(math.pi)))
     assert abs(a - b) < 1e-12
 
 
@@ -172,11 +175,34 @@ def test_discontinuity_slope_matches_instanton_action():
     assert abs(slope - (-1 / 6)) < 0.02 * (1 / 6)
 
 
+def _jump_60_digits(p, g_abs, q):
+    """Z_q - Z_{q-1} at arg g = q w, from the definition at 60 digits:
+    phi = e^{i theta} x on sector r's line, g^{(p-2)/2} on the angle's sheet."""
+    with mpmath.workdps(60):
+        w = 2 * mpmath.pi / (p - 2)
+
+        def Z(r, alpha):
+            theta = (p - 2) * ((r + mpmath.mpf(1) / 2) * w - alpha) / (2 * p)
+            rot = mpmath.expj(theta)
+            c = mpmath.mpf(g_abs) ** (mpmath.mpf(p - 2) / 2) * mpmath.expj((p - 2) * alpha / 2) / p
+            R = 20 / mpmath.sqrt(mpmath.cos(2 * theta))  # e^{-200} left beyond +-R
+            f = lambda x: mpmath.exp(-((rot * x) ** 2) / 2 + c * (rot * x) ** p)
+            return rot * mpmath.quad(f, [-R, 0, R]) / mpmath.sqrt(2 * mpmath.pi)
+
+        lower = Z(q - 1, q * w) if q else Z(p - 3, (p - 2) * w)
+        return complex(Z(q, q * w) - lower)
+
+
 def test_discontinuity_tiny_g_uses_high_precision():
-    # |disc| ~ 2.4e-15 here: doubles would be pure cancellation noise
+    # |disc| is 5e-27..9e-10 here: a difference of doubles would be noise
+    for p, q in [(3, 0), (4, 0), (5, 1)]:
+        for g_abs in (0.005, 0.008):
+            ref = _jump_60_digits(p, g_abs, q)
+            assert abs(discontinuity(p, g_abs, q) - ref) <= 1e-10 * abs(ref), (p, q, g_abs)
+    # and, free of the tilt and sheet conventions both routes above share,
+    # the small-g limit
     d = discontinuity(3, 0.005, 0)
-    ref = instanton_discontinuity(3, 0.005)
-    assert abs(d / ref - 1) < 0.05
+    assert abs(d / instanton_discontinuity(3, 0.005) - 1) < 0.01
 
 
 # --------------------------------------------------------------- rest bound

@@ -517,6 +517,13 @@ def test_cli_import_leaves_scipy_and_mpmath_unloaded(tmp_path):
         ["invariants", "--p", "3", "--N", "4", "--n", "2", "--samples", "2"],
         ["sample", "--p", "3", "--N", "4", "--output", str(tmp_path / "t.bin")],
         ["eigen", "--p", "3", "--N", "4", "--starts", "4"],
+        ["spike", "--p", "3", "--b", "4"],  # above b_t: both root searches run
+        ["spike", "--p", "4", "--b-sweep", "0:15:0.5"],
+        ["annealed", "--p", "3", "--w", "5", "--N", "400"],
+        ["resolvent", "--p", "3", "--w", "4"],
+        ["density", "--p", "3", "--grid", "50"],
+        ["moments", "--p", "3", "--nmax", "4"],
+        ["borel", "--p", "3", "--g-sweep", "0.02:0.1:0.01"],  # no high-precision row
     ]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)], capture_output=True, text=True
@@ -524,4 +531,4 @@ def test_cli_import_leaves_scipy_and_mpmath_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"  # after the import
-    assert lines[-1] == "[]"  # after the four subcommands
+    assert lines[-1] == "[]"  # after every subcommand

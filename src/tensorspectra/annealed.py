@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutContact, DomainError, QuadratureFailure, RootFindFailure
-from .fuss_catalan import fc_function, gl_panel, support_edge
+from .fuss_catalan import fc_function, gl_panels, support_edge
 
 __all__ = [
     "SaddlePoint",
@@ -132,19 +132,18 @@ def annealed_logZ(p: int, w: complex, N: int, mode: str = "saddle") -> complex:
         return np.exp(N * (_radial_f(p, w, rho) - f0)) * tilt / rho
 
     sig_t = min(sigma / abs(rho0), 0.45)
+    # panel edges, strictly increasing (sorted sets)
     cuts1 = sorted({0.0, 0.25, 0.5} | {max(1 - c * sig_t, 0.0) for c in (16, 8, 4, 2, 1)} | {1.0})
     cuts2 = sorted({0.0} | {min(c * sigma, span) for c in (1, 2, 4, 8, 16)} | {span})
+    legs = ((leg1, np.array(cuts1)), (leg2, np.array(cuts2)))
 
     prev = None
     total = None
     for order in (32, 64, 128):
         total = 0.0 + 0j
-        for a, b in zip(cuts1[:-1], cuts1[1:]):
-            if b > a:
-                total += gl_panel(leg1, a, b, order)
-        for a, b in zip(cuts2[:-1], cuts2[1:]):
-            if b > a:
-                total += gl_panel(leg2, a, b, order)
+        for leg, edges in legs:
+            for panel in gl_panels(leg, edges, order):
+                total += panel
         if prev is not None and abs(total - prev) <= 1e-13 * abs(total):
             prev = total
             break
@@ -179,12 +178,16 @@ def annealed_resolvent(p: int, w: complex, N: int = 0, mode: str = "saddle") -> 
 def spike_f(p: int, w: complex, b: float, theta: float, rho_sq: complex) -> complex:
     """f(theta, rho) evaluated from its defining expression."""
     rho = np.sqrt(complex(rho_sq))
+    try:
+        quartic = complex(rho_sq) ** p / (2 * p * w**2)
+    except OverflowError:  # w^2 or rho^{2p} overflows where the term need not
+        quartic = _power_over_w_sq(rho_sq, p, w) / (2 * p)
     return (
         cmath.log(math.sin(theta))
         + np.log(rho)
         - rho_sq / 2
         + (b / (w * p)) * rho**p * math.cos(theta) ** p
-        + complex(rho_sq) ** p / (2 * p * w**2)
+        + quartic
     )
 
 
@@ -197,8 +200,16 @@ def saddle_equation_residuals(p, w, b, theta, rho_sq):
     rho = np.sqrt(complex(rho_sq))
     s, c = math.sin(theta), math.cos(theta)
     r1 = (b / w) * rho**p * c**p - (c / s) ** 2
-    r2 = 1 / s**2 - rho_sq + complex(rho_sq) ** p / w**2
+    try:
+        r2 = 1 / s**2 - rho_sq + complex(rho_sq) ** p / w**2
+    except OverflowError:  # w^2 or rho^{2p} overflows where r2 need not
+        r2 = 1 / s**2 - rho_sq + _power_over_w_sq(rho_sq, p, w)
     return r1, r2
+
+
+def _power_over_w_sq(rho_sq, p, w):
+    """rho^{2p}/w^2 in logs, for where rho^{2p} or w^2 alone overflows."""
+    return cmath.exp(p * cmath.log(rho_sq) - 2 * cmath.log(w))
 
 
 @dataclass(frozen=True)
@@ -226,7 +237,10 @@ class SaddleReport:
 
 def _saddle_curve(p, y, x):
     """(v, ln(1/s)) on the second saddle equation's curve at x = ln(y^2 v)."""
-    v = math.exp(x) / y / y
+    try:
+        v = math.exp(x) / y / y
+    except OverflowError:  # e^x overflows where v need not
+        v = math.exp(x - 2 * math.log(y))
     return v, (x - p * math.log1p(v)) / (p - 1)
 
 
@@ -253,7 +267,11 @@ def spike_saddles(p: int, w: complex, b: float) -> SaddleReport:
     _check_b(b)
     w = _check_w(p, w)
 
-    rho0_sq = fc_function(p, 1 / w**2)
+    try:
+        u = 1 / w**2
+    except OverflowError:  # w^2 overflows where 1/w^2 need not
+        u = (1 / w) ** 2
+    rho0_sq = fc_function(p, u)
     saddles = [SaddlePoint(math.pi / 2, rho0_sq, spike_f(p, w, b, math.pi / 2, rho0_sq))]
     theta1_error = None
 

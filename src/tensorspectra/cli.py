@@ -133,7 +133,7 @@ def cmd_density(args):
         raise DomainError("--grid must be >= 1")
     edge = fc.support_edge(args.p)
     ys = np.linspace(-edge, edge, args.grid)
-    rows = [(float(y), fc.wigner_density(args.p, float(y))) for y in ys]
+    rows = zip(ys.tolist(), fc.wigner_density(args.p, ys).tolist())
     _emit_csv(args, rows)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# Four ulps of 1: the relative tolerance of the branch-point test and of
+# pp_density's Newton inversion.
+_EPS4 = 4 * np.finfo(float).eps
 # Largest p whose u_c is divided out in exact integers; beyond it the powers
 # run to hundreds of thousands of digits and take seconds, so logs are used.
 _EXACT_U_C_MAX_P = 10_000
@@ -189,7 +193,7 @@ def fc_function(p: int, u: complex) -> complex:
     u = complex(u)
     u_c = critical_point(p)
     if u.imag == 0 and u.real >= u_c:
-        if abs(u.real - u_c) <= 4 * np.finfo(float).eps * u_c:
+        if abs(u.real - u_c) <= _EPS4 * u_c:
             # branch point itself: the two colliding roots equal p/(p-1)
             return complex(p / (p - 1))
         raise CutContact(
@@ -256,7 +260,8 @@ def _log_sinc(a, xp):
 
 def _curve(p, t, from_origin, xp=math):
     """(log_x, d log_x/dt, sin phi, sin((p-1) phi), sin(p phi)) at one point
-    of pp_density's curve, for a scalar t (xp = math) or an array (numpy).
+    of pp_density's curve, for a scalar t (xp = math) or an array (xp = numpy,
+    or _mathmap for math's bits).
 
     phi = pi/p - t on the half next to the origin and phi = t on the half
     next to the edge, t in (0, pi/(2p)], so every sine keeps full relative
@@ -279,7 +284,26 @@ def _curve(p, t, from_origin, xp=math):
     return log_x, slope, s1, sq, sp
 
 
-def pp_density(p: int, x: float) -> float:
+def _elementwise(f):
+    def mapped(a):
+        return np.fromiter(map(f, a.tolist()), float, a.size)
+
+    return mapped
+
+
+# math's functions mapped over a 1-d array.  numpy's log, exp and log1p
+# differ from math's in the last bit on some inputs, so the array route of
+# pp_density calls these to keep the bits of its scalar route.
+_mathmap = SimpleNamespace(
+    sin=_elementwise(math.sin),
+    cos=_elementwise(math.cos),
+    log=_elementwise(math.log),
+    log1p=_elementwise(math.log1p),
+    exp=_elementwise(math.exp),
+)
+
+
+def pp_density(p: int, x: float | np.ndarray) -> float | np.ndarray:
     """The positive Fuss-Catalan density P_p on (0, 1/u_c].
 
     Moments of P_p against x^n are the Fuss-Catalan numbers F_p(n).  Uses
@@ -290,9 +314,13 @@ def pp_density(p: int, x: float) -> float:
         P_p(x) = x^(-(p-1)/p) sin(phi)^((p+1)/p) / (pi sin((p-1) phi)^(1/p))
 
     phi(x) is found by safeguarded Newton in log x, and P_p is evaluated in
-    logs, so nothing overflows or cancels at any p.
+    logs, so nothing overflows or cancels at any p.  x may be a 1-d float
+    array: the same Newton then runs on every point at once, and the result
+    is an array equal bit for bit to the scalar values.
     """
     _check_order(p)
+    if isinstance(x, np.ndarray):
+        return _pp_density_array(p, x)
     x = float(x)
     u_c = critical_point(p)
     if not 0.0 < x <= 1.0 / u_c:
@@ -310,7 +338,6 @@ def pp_density(p: int, x: float) -> float:
     else:
         target = math.log(z)
         t = min(hi, math.sqrt(-2.0 * target / (p * (p - 1))))
-    eps = 4 * np.finfo(float).eps
     for _ in range(200):
         value, slope, s1, sq, _ = _curve(p, t, from_origin)
         resid = value - target
@@ -320,7 +347,7 @@ def pp_density(p: int, x: float) -> float:
         else:
             hi = t
         step = resid / slope
-        if abs(step) <= eps * t or hi - lo <= eps * hi:
+        if abs(step) <= _EPS4 * t or hi - lo <= _EPS4 * hi:
             break
         t -= step
         if not lo < t < hi:
@@ -331,20 +358,93 @@ def pp_density(p: int, x: float) -> float:
     return math.exp(log_p - math.log(math.pi))
 
 
-def wigner_density(p: int, y: float) -> float:
+def _pp_density_array(p, x):
+    """pp_density on a 1-d array: its scalar route, step for step, on every
+    point at once, with math's transcendental functions (_mathmap)."""
+    x = np.asarray(x, dtype=float)
+    u_c = critical_point(p)
+    outside = ~((0.0 < x) & (x <= 1.0 / u_c))
+    if outside.any():
+        raise DomainError(f"x={float(x[outside.argmax()])} outside the support (0, {1/u_c}]")
+    z = u_c * x
+    live = ~((z >= 1.0) | (x == 1.0 / u_c))
+    x, z = x[live], z[live]
+    log_x = _mathmap.log(x)
+    hi = math.pi / (2 * p)
+    from_origin = log_x < -math.log(math.sin(hi)) - (p - 1) * math.log(math.cos(hi))
+    s1, sq, failed = np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool)
+    for origin_half, half in ((True, from_origin), (False, ~from_origin)):
+        if origin_half:
+            target = log_x[half]
+            t = np.minimum(hi, math.sin(math.pi / p) * _mathmap.exp(target / p) / p)
+        else:
+            target = _mathmap.log(z[half])
+            t = np.minimum(hi, np.sqrt(-2.0 * target / (p * (p - 1))))
+        s1[half], sq[half], failed[half] = _invert_curve(p, t, target, origin_half)
+    if failed.any():
+        raise RootFindFailure(
+            f"parametric inversion for P_{p} did not converge at x={float(x[failed.argmax()])}"
+        )
+    log_p = (-(p - 1) * log_x + (p + 1) * _mathmap.log(s1) - _mathmap.log(sq)) / p
+    out = np.zeros(live.size)
+    out[live] = _mathmap.exp(log_p - math.log(math.pi))
+    return out
+
+
+def _invert_curve(p, t, target, from_origin):
+    """pp_density's safeguarded Newton on one half of the curve, run on all
+    points at once; each keeps its own bracket and stops on its own test.
+
+    Returns (sin phi, sin((p-1) phi), failed), failed marking the points
+    still unconverged after 200 steps.
+    """
+    n = t.size
+    lo, hi = np.zeros(n), np.full(n, math.pi / (2 * p))
+    s1, sq = np.empty(n), np.empty(n)
+    todo = np.arange(n)
+    for _ in range(200):
+        if not todo.size:
+            break
+        value, slope, s1_t, sq_t, _ = _curve(p, t, from_origin, _mathmap)
+        resid = value - target
+        root_above = (resid < 0) == from_origin
+        lo, hi = np.where(root_above, t, lo), np.where(root_above, hi, t)
+        step = resid / slope
+        done = (np.abs(step) <= _EPS4 * t) | (hi - lo <= _EPS4 * hi)
+        s1[todo[done]], sq[todo[done]] = s1_t[done], sq_t[done]
+        going = ~done
+        todo, target, lo, hi = todo[going], target[going], lo[going], hi[going]
+        t = t[going] - step[going]
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+    failed = np.zeros(n, dtype=bool)
+    failed[todo] = True
+    return s1, sq, failed
+
+
+def wigner_density(p: int, y: float | np.ndarray) -> float | np.ndarray:
     """Generalized Wigner spectral density rho(y) = |y| P_p(y^2).
 
     Even in y, supported on the open interval (-edge, edge), normalized to
     total mass 1.  For p >= 3 the density has an integrable |y|^{(2-p)/p}
-    singularity at the origin; rho(0) is reported as +inf there.
+    singularity at the origin; rho(0) is reported as +inf there.  y may be
+    a 1-d float array, evaluated in one pp_density call.
     """
     _check_order(p)
-    y = float(y)
     edge = support_edge(p)
+    at_origin = 1.0 / math.pi if p == 2 else math.inf
+    if isinstance(y, np.ndarray):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape)
+        inside = ~(np.abs(y) >= edge)
+        out[inside & (y == 0.0)] = at_origin
+        rest = inside & (y != 0.0)
+        out[rest] = np.abs(y[rest]) * pp_density(p, y[rest] * y[rest])
+        return out
+    y = float(y)
     if abs(y) >= edge:
         return 0.0
     if y == 0.0:
-        return 1.0 / math.pi if p == 2 else math.inf
+        return at_origin
     return abs(y) * pp_density(p, y * y)
 
 
@@ -409,7 +509,8 @@ def density_moment(p: int, n: int, tol: float = 1e-7) -> float:
 
     prev = None
     for order in (16, 32, 64, 128, 256, 512, 1024):
-        val = gl_panel(origin, 0.0, 1.0, order) + gl_panel(edge, 0.0, half, order)
+        val = (gl_panels(origin, np.array([0.0, 1.0]), order)[0]
+               + gl_panels(edge, np.array([0.0, half]), order)[0])
         err = math.inf if prev is None else abs(val - prev)
         if err <= tol:
             return float(val)
@@ -429,8 +530,12 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gl_panel(func, a, b, order):
-    """Gauss-Legendre rule of the given order for the integral of func over [a, b]."""
+def gl_panels(func, edges, order):
+    """Gauss-Legendre rule of the given order on every panel
+    [edges[k], edges[k+1]] of a 1-d array of edges, one value per panel.
+
+    func is called once, on the (panels, order) array of all nodes.
+    """
     x, wts = _gl_nodes(order)
-    mid, half = (a + b) / 2, (b - a) / 2
-    return half * np.sum(wts * func(mid + half * x))
+    mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+    return half * np.sum(wts * func(mid[:, None] + half[:, None] * x), axis=1)

@@ -19,7 +19,7 @@ from tensorspectra.annealed import (
     spike_saddles,
     spike_threshold,
 )
-from tensorspectra.errors import CutContact, DomainError, RootFindFailure
+from tensorspectra.errors import CutContact, DomainError, QuadratureFailure, RootFindFailure
 from tensorspectra.fuss_catalan import expected_resolvent, fc_function, support_edge
 
 
@@ -99,6 +99,24 @@ def test_radial_cut_contact_and_caps():
         annealed_logZ(3, 1.0, 100, mode="quadrature")
     with pytest.raises(DomainError):
         annealed_logZ(3, 5.0, 10**6, mode="quadrature")
+
+
+def test_quadrature_legs_are_bitwise_the_panel_loop(checked_gl_panels):
+    # 200 seeded (p, w, N): each leg's panels at each order equal the
+    # one-panel-at-a-time loop
+    calls = checked_gl_panels(annealed)
+    rng = np.random.default_rng(1211)
+    for _ in range(200):
+        p = int(rng.integers(2, 6))
+        edge = support_edge(p)
+        w = edge * complex(rng.uniform(1.05, 3.0) * rng.choice([-1, 1]), rng.uniform(-1.0, 1.0))
+        N = int(rng.choice([1, 10, 100, 1000, 10_000]))
+        try:
+            annealed_logZ(p, w, N, mode="quadrature")
+        except QuadratureFailure:
+            pass
+    # two legs per Gauss-Legendre order, at least two orders per call
+    assert len(calls) >= 4 * 200
 
 
 # ------------------------------------------------------------------ saddles

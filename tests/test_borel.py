@@ -6,8 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from tensorspectra import borel
 from tensorspectra.borel import (
     SectorSpec,
+    _line_quadrature,
     _sector_Z_mp,
     discontinuity,
     instanton_discontinuity,
@@ -119,6 +121,25 @@ def test_sector_Z_periodicity():
     assert abs(
         sector_Z(6, 0.1, 0, alpha=0.3) - sector_Z(6, 0.1, 2, alpha=0.3 + 2 * w6)
     ) < 1e-10
+
+
+def test_line_quadrature_is_bitwise_the_panel_loop(checked_gl_panels):
+    # 200 seeded sector lines: every refinement level's panels equal the
+    # one-panel-at-a-time loop, and so does the returned sum
+    levels = checked_gl_panels(borel)
+    rng = np.random.default_rng(2020)
+    for _ in range(200):
+        p = int(rng.integers(3, 7))
+        spec = SectorSpec(p, int(rng.integers(0, p - 2)))
+        alpha = spec.omega * (spec.q + rng.uniform(0.0, 1.0))
+        g = rng.uniform(0.02, 0.5)
+        theta = (p - 2) / (2 * p) * (spec.alpha_q - alpha)
+        coef2 = cmath.exp(2j * theta)
+        coefp = g ** ((p - 2) / 2) * cmath.exp(1j * (p - 2) / 2 * alpha + 1j * p * theta) / p
+        got = _line_quadrature(coef2, coefp, p)
+        # the old loop summed np.complex128 panels, then divided
+        ref = sum(levels[-1]) / math.sqrt(2 * math.pi)
+        assert got == ref and type(got) is type(ref)
 
 
 # ------------------------------------------------------------ discontinuity

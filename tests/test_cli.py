@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tensorspectra import cli
+from tensorspectra.annealed import spike_threshold
 from tensorspectra.cli import _schema, main
 from tensorspectra.fuss_catalan import support_edge
 from tensorspectra.tensors import load_tensor
@@ -268,6 +269,16 @@ def test_spike_below_threshold_at_large_p_exits_0(capsys, p):
     assert code == 0
     row = out.strip().splitlines()[3].split(",")
     assert float(row[2]) == pytest.approx(support_edge(p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, b_over_bt", [(68, 1000.0), (103, 10.0), (150, 2.0)])
+def test_spike_above_threshold_at_large_p_exits_0(capsys, p, b_over_bt):
+    # |w|^2 at the probe overflows a float here while y_c does not
+    b = b_over_bt * spike_threshold(p).b_t
+    code, out = run_cli(["spike", "--p", str(p), "--b", repr(b)], capsys)
+    assert code == 0
+    y_c = float(out.strip().splitlines()[3].split(",")[2])
+    assert math.isfinite(y_c) and y_c >= support_edge(p)
 
 
 JUNK = st.one_of(

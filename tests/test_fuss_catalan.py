@@ -280,6 +280,45 @@ def test_wigner_density_roots_matches_p3_closed_form():
         assert wigner_density_roots(3, y) == pytest.approx(p3_rho_closed(y), abs=1e-8)
 
 
+# ---------------------------------------------------------- array route
+
+ARRAY_ORDERS = [*range(2, 13), 20, 50, 150, 1000]
+
+
+@pytest.mark.parametrize("p", ARRAY_ORDERS)
+def test_wigner_density_array_route_is_bitwise_scalar(p):
+    # the scalar route is the reference: the array route runs the same
+    # Newton steps with math's functions, so every bit must agree
+    edge = support_edge(p)
+    grids = [np.linspace(-edge, edge, size) for size in (1, 2, 3, 7, 400, 1001)]
+    # the origin, both edges and the last ulps inside them
+    inner = [float(np.nextafter(edge, 0.0)), float(np.nextafter(-edge, 0.0))]
+    grids.append(np.array([0.0, -0.0, edge, -edge, *inner, 1e-150, -1e-150]))
+    for ys in grids:
+        ref = np.array([wigner_density(p, y) for y in ys.tolist()])
+        assert wigner_density(p, ys).tobytes() == ref.tobytes(), ys.size
+
+
+@pytest.mark.parametrize("p", ARRAY_ORDERS)
+def test_pp_density_array_route_is_bitwise_scalar(p):
+    top = 1.0 / critical_point(p)
+    # x = 1/u_c, where u_c x >= 1 at most p, and the last ulps below it
+    last = [top]
+    for _ in range(16):
+        last.append(float(np.nextafter(last[-1], 0.0)))
+    for xs in (np.linspace(0.0, top, 402)[1:], np.geomspace(1e-300, top, 300), np.array(last)):
+        ref = np.array([pp_density(p, x) for x in xs.tolist()])
+        assert pp_density(p, xs).tobytes() == ref.tobytes()
+
+
+def test_pp_density_array_route_refuses_like_scalar():
+    with pytest.raises(DomainError) as scalar:
+        pp_density(3, -1.0)
+    with pytest.raises(DomainError) as array:
+        pp_density(3, np.array([1.0, -1.0, 50.0]))
+    assert str(array.value) == str(scalar.value)
+
+
 # ---------------------------------------------------------------- omega
 
 def test_resolvent_frozen_points():

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 QUADRATURE_N_CAP = 10_000
+# Step of _d2_real's central second difference.
+_D2_STEP = 1e-4
 
 
 # ----------------------------------------------------------------- radial
@@ -154,8 +156,8 @@ def annealed_logZ(p: int, w: complex, N: int, mode: str = "saddle") -> complex:
     return f0 + np.log(total) / N
 
 
-def _d2_real(f, r, h=1e-4):
-    return (f(r + h).real - 2 * f(r).real + f(r - h).real) / h**2
+def _d2_real(f, r):
+    return (f(r + _D2_STEP).real - 2 * f(r).real + f(r - _D2_STEP).real) / _D2_STEP**2
 
 
 def annealed_resolvent(p: int, w: complex, N: int = 0, mode: str = "saddle") -> complex:

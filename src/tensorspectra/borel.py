@@ -38,6 +38,9 @@ __all__ = [
     "rescaled_Z",
 ]
 
+# Relative change between panel doublings that ends _line_quadrature.
+_LINE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -105,7 +108,7 @@ def _resolve_alpha(p, g, q, alpha):
     return spec, alpha
 
 
-def _line_quadrature(coef2, coefp, p, rtol=1e-12):
+def _line_quadrature(coef2, coefp, p):
     """(2 pi)^{-1/2} integral over R of exp(-coef2 x^2/2 + coefp x^p) dx."""
     cosfac = coef2.real
     if cosfac <= 0:
@@ -122,7 +125,7 @@ def _line_quadrature(coef2, coefp, p, rtol=1e-12):
         # summed over the numpy array, so total stays np.complex128: the final
         # division by sqrt(2 pi) rounds differently on a Python complex
         total = sum(gl_panels(integrand, edges, 32))
-        if prev is not None and abs(total - prev) <= rtol * max(abs(total), 1e-8):
+        if prev is not None and abs(total - prev) <= _LINE_RTOL * max(abs(total), 1e-8):
             return total / math.sqrt(2 * math.pi)
         prev = total
         npanels *= 2

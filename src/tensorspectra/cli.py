@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from functools import lru_cache
 from importlib import resources
 
@@ -48,7 +47,6 @@ def _fmt(x) -> str:
 
 def _meta(args):
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None}
-    cfg = {k: (v if not isinstance(v, float) else float(_fmt(v))) for k, v in cfg.items()}
     return {"version": __version__, "config": cfg}
 
 
@@ -202,11 +200,7 @@ def cmd_eigen(args):
         T = tensors.load_tensor(args.input)
     else:
         T = tensors.sample_goe(args.p, args.N, args.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pairs = eigenpairs.find_real_eigenpairs(
-            T, n_starts=args.starts, tol=args.tol, seed=args.seed
-        )
+    pairs = eigenpairs.find_real_eigenpairs(T, n_starts=args.starts, tol=args.tol, seed=args.seed)
     data = [
         {
             "lambda": pair.lam,

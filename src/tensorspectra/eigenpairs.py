@@ -17,12 +17,11 @@ the partition-function discontinuity at coupling y.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoMatchingPairs, SignMismatch
+from .errors import DomainError, NoMatchingPairs, RootFindFailure, SignMismatch
 from .tensors import SymmetricTensor, contract_full, contract_gradient, contract_matrix
 
 __all__ = [
@@ -33,6 +32,9 @@ __all__ = [
     "instanton_from_eigenpair",
     "discontinuity_exponent",
 ]
+
+# Newton steps a start may take in _newton_batch before it is dropped.
+_NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -133,12 +135,12 @@ def _solve_rows(J, F):
         return step
 
 
-def _newton_batch(tensor, x0, tol, max_iter=200):
+def _newton_batch(tensor, x0, tol):
     """Newton iteration on (T x^{p-1} - lambda x, (x.x - 1)/2), one start per row of x0.
 
     lambda is re-synchronized with the Rayleigh value after every step.  A
     row leaves the batch when it converges, fails (singular Jacobian,
-    non-finite or huge step, zero or non-finite norm) or reaches max_iter.
+    non-finite or huge step, zero or non-finite norm) or after _NEWTON_MAX_ITER steps.
     Returns one (lam, x, residual) per row, or None for a row that failed.
     """
     N = tensor.N
@@ -146,7 +148,7 @@ def _newton_batch(tensor, x0, tol, max_iter=200):
     rows = np.arange(len(x0))
     x = x0 / _row_norm(x0)[:, None]
     M, g, lam = _rayleigh(tensor, x)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if not rows.size:
             break
         F = np.empty((len(rows), N + 1))
@@ -200,9 +202,10 @@ def find_real_eigenpairs(
     """Batched multistart Newton search for real eigenpair classes.
 
     Starts are uniform on the sphere and iterate together as one
-    (n_starts, N) array; failed starts are discarded silently.  tol must
-    be positive and finite.  Found pairs are deduplicated (|dlam| <
-    10*tol and min(|x-x'|, |x+x'|) < 1e-6) with the sign convention of
+    (n_starts, N) array; failed starts are discarded, and RootFindFailure
+    is raised when every start fails.  tol must be positive and finite.
+    Found pairs are deduplicated (|dlam| < 10*tol and
+    min(|x-x'|, |x+x'|) < 1e-6) with the sign convention of
     _canonical_sign.  The returned classes are not guaranteed complete.
     """
     if n_starts < 1:
@@ -237,7 +240,7 @@ def find_real_eigenpairs(
         if not merged:
             clusters.append([lam, x, res, False])
     if not clusters:
-        warnings.warn("no eigenpair converged from any start", stacklevel=2)
+        raise RootFindFailure(f"no eigenpair converged from any of {n_starts} starts")
     found = [Eigenpair(lam, x, res, deg) for lam, x, res, deg in clusters]
     found.sort(key=lambda pair: -pair.lam)
     return found

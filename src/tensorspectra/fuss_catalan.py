@@ -8,15 +8,17 @@ numbers, the even spectral density rho(y) = |y| * P_p(y^2) supported on
 resolvent omega(w) = T_p(w^{-2})/w.
 
 The density has one evaluation route, the parametric form of P_p in an
-angle phi (pp_density), which holds at every p; density_moment
-integrates in the same angle.  The branch-tracked boundary value of T_p
-(wigner_density_roots) is an independent route that tests compare
-against.
+angle phi (pp_density), which holds at every p: one Newton inversion
+that runs on an array of points at once, a single float being an array
+of one.  density_moment integrates in the same angle.  The
+branch-tracked boundary value of T_p (wigner_density_roots) is an
+independent route that tests compare against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -44,9 +46,19 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# Newton steps _newton_polish takes before it gives up.
+_POLISH_MAXIT = 60
+# Relative term size that ends _fc_series, and its most terms.
+_SERIES_RTOL = 1e-16
+_SERIES_NMAX = 5000
 # Four ulps of 1: the relative tolerance of the branch-point test and of
 # pp_density's Newton inversion.
 _EPS4 = 4 * np.finfo(float).eps
+# Lower end of the bracket of pp_density's Newton in the curve parameter t,
+# and the smallest t it starts from.  Near the origin t is about sqrt(x)/2 at
+# p = 2, which underflows once y = sqrt(x) is below ~4e-308 in wigner_density;
+# there sin(phi) and sin((p-1) phi) round to 1 at any such t.
+_T_MIN = sys.float_info.min
 # Largest p whose u_c is divided out in exact integers; beyond it the powers
 # run to hundreds of thousands of digits and take seconds, so logs are used.
 _EXACT_U_C_MAX_P = 10_000
@@ -85,15 +97,15 @@ def fuss_catalan_number(p: int, n: int) -> int:
     return q
 
 
-def _newton_polish(p, u, t0, tol=_RESIDUAL_TOL, maxit=60):
+def _newton_polish(p, u, t0):
     """Polish a root of u*T^p - T + 1 = 0 starting from t0.
 
     Returns (root, ok).  ok is False when Newton stalls or diverges.
     """
     t = complex(t0)
-    for _ in range(maxit):
+    for _ in range(_POLISH_MAXIT):
         g = u * t**p - t + 1.0
-        if abs(g) < tol:
+        if abs(g) < _RESIDUAL_TOL:
             return t, True
         gp = p * u * t ** (p - 1) - 1.0
         if gp == 0:
@@ -102,21 +114,21 @@ def _newton_polish(p, u, t0, tol=_RESIDUAL_TOL, maxit=60):
         if not (abs(step) < 1e6):
             return t, False
         t = t - step
-    return t, abs(u * t**p - t + 1.0) < tol
+    return t, abs(u * t**p - t + 1.0) < _RESIDUAL_TOL
 
 
-def _fc_series(p, u, rtol=1e-16, nmax=5000):
+def _fc_series(p, u):
     """Power series sum F_p(n) u^n with term-ratio stopping."""
     u = complex(u)
     total = 1.0 + 0j
     term = 1.0 + 0j
     fc_prev = 1
-    for n in range(1, nmax):
+    for n in range(1, _SERIES_NMAX):
         fc = fuss_catalan_number(p, n)
         term *= u * (fc / fc_prev)
         fc_prev = fc
         total += term
-        if abs(term) < rtol * abs(total):
+        if abs(term) < _SERIES_RTOL * abs(total):
             return total
     raise BranchTrackingFailed(f"series for T_{p}({u}) did not converge")
 
@@ -258,10 +270,10 @@ def _log_sinc(a, xp):
     return xp.log1p(s), ds / (a * (1 + s))
 
 
-def _curve(p, t, from_origin, xp=math):
-    """(log_x, d log_x/dt, sin phi, sin((p-1) phi), sin(p phi)) at one point
-    of pp_density's curve, for a scalar t (xp = math) or an array (xp = numpy,
-    or _mathmap for math's bits).
+def _curve(p, t, from_origin, xp):
+    """(log_x, d log_x/dt, sin phi, sin((p-1) phi), sin(p phi)) at an array t
+    of points of pp_density's curve, with xp's functions (numpy, or _mathmap
+    for math's bits).
 
     phi = pi/p - t on the half next to the origin and phi = t on the half
     next to the edge, t in (0, pi/(2p)], so every sine keeps full relative
@@ -292,8 +304,8 @@ def _elementwise(f):
 
 
 # math's functions mapped over a 1-d array.  numpy's log, exp and log1p
-# differ from math's in the last bit on some inputs, so the array route of
-# pp_density calls these to keep the bits of its scalar route.
+# differ from math's in the last bit on some inputs; pp_density calls these,
+# so every value has the bits of the same Newton run point by point on math.
 _mathmap = SimpleNamespace(
     sin=_elementwise(math.sin),
     cos=_elementwise(math.cos),
@@ -314,69 +326,38 @@ def pp_density(p: int, x: float | np.ndarray) -> float | np.ndarray:
         P_p(x) = x^(-(p-1)/p) sin(phi)^((p+1)/p) / (pi sin((p-1) phi)^(1/p))
 
     phi(x) is found by safeguarded Newton in log x, and P_p is evaluated in
-    logs, so nothing overflows or cancels at any p.  x may be a 1-d float
-    array: the same Newton then runs on every point at once, and the result
-    is an array equal bit for bit to the scalar values.
+    logs, so nothing overflows or cancels at any p.  x may be a float or a
+    1-d float array: the Newton runs on every point at once, each point with
+    its own bracket and stopping test, so no value depends on the others.
+    A float x returns a float.
     """
     _check_order(p)
-    if isinstance(x, np.ndarray):
-        return _pp_density_array(p, x)
-    x = float(x)
-    u_c = critical_point(p)
-    if not 0.0 < x <= 1.0 / u_c:
-        raise DomainError(f"x={x} outside the support (0, {1/u_c}]")
-    z = u_c * x
-    if z >= 1.0 or x == 1.0 / u_c:
-        return 0.0
-    log_x = math.log(x)
-    lo, hi = 0.0, math.pi / (2 * p)
-    # the curve's midpoint t = hi, where sin(p phi) = 1, picks the half
-    from_origin = log_x < -math.log(math.sin(hi)) - (p - 1) * math.log(math.cos(hi))
-    if from_origin:
-        target = log_x
-        t = min(hi, math.sin(math.pi / p) * math.exp(log_x / p) / p)
-    else:
-        target = math.log(z)
-        t = min(hi, math.sqrt(-2.0 * target / (p * (p - 1))))
-    for _ in range(200):
-        value, slope, s1, sq, _ = _curve(p, t, from_origin)
-        resid = value - target
-        # log_x rises with t from the origin and falls with t from the edge
-        if (resid < 0) == from_origin:
-            lo = t
-        else:
-            hi = t
-        step = resid / slope
-        if abs(step) <= _EPS4 * t or hi - lo <= _EPS4 * hi:
-            break
-        t -= step
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-    else:
-        raise RootFindFailure(f"parametric inversion for P_{p} did not converge at x={x}")
-    log_p = (-(p - 1) * log_x + (p + 1) * math.log(s1) - math.log(sq)) / p
-    return math.exp(log_p - math.log(math.pi))
-
-
-def _pp_density_array(p, x):
-    """pp_density on a 1-d array: its scalar route, step for step, on every
-    point at once, with math's transcendental functions (_mathmap)."""
-    x = np.asarray(x, dtype=float)
+    scalar = not isinstance(x, np.ndarray)
+    x = np.array([float(x)]) if scalar else np.asarray(x, dtype=float)
     u_c = critical_point(p)
     outside = ~((0.0 < x) & (x <= 1.0 / u_c))
     if outside.any():
         raise DomainError(f"x={float(x[outside.argmax()])} outside the support (0, {1/u_c}]")
+    out = _mathmap.exp(_log_pp(p, x, _mathmap.log(x)))
+    return float(out[0]) if scalar else out
+
+
+def _log_pp(p, x, log_x):
+    """log P_p on a 1-d array of points x of the support, given log x; -inf
+    where P_p is 0 (at the edge 1/u_c)."""
+    u_c = critical_point(p)
     z = u_c * x
     live = ~((z >= 1.0) | (x == 1.0 / u_c))
-    x, z = x[live], z[live]
-    log_x = _mathmap.log(x)
+    x, z, log_x = x[live], z[live], log_x[live]
     hi = math.pi / (2 * p)
+    # the curve's midpoint t = hi, where sin(p phi) = 1, picks the half
     from_origin = log_x < -math.log(math.sin(hi)) - (p - 1) * math.log(math.cos(hi))
     s1, sq, failed = np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool)
     for origin_half, half in ((True, from_origin), (False, ~from_origin)):
         if origin_half:
             target = log_x[half]
-            t = np.minimum(hi, math.sin(math.pi / p) * _mathmap.exp(target / p) / p)
+            t0 = math.sin(math.pi / p) * _mathmap.exp(target / p) / p
+            t = np.clip(t0, _T_MIN, hi)
         else:
             target = _mathmap.log(z[half])
             t = np.minimum(hi, np.sqrt(-2.0 * target / (p * (p - 1))))
@@ -385,9 +366,8 @@ def _pp_density_array(p, x):
         raise RootFindFailure(
             f"parametric inversion for P_{p} did not converge at x={float(x[failed.argmax()])}"
         )
-    log_p = (-(p - 1) * log_x + (p + 1) * _mathmap.log(s1) - _mathmap.log(sq)) / p
-    out = np.zeros(live.size)
-    out[live] = _mathmap.exp(log_p - math.log(math.pi))
+    out = np.full(live.size, -math.inf)
+    out[live] = (-(p - 1) * log_x + (p + 1) * _mathmap.log(s1) - _mathmap.log(sq)) / p - math.log(math.pi)
     return out
 
 
@@ -399,7 +379,7 @@ def _invert_curve(p, t, target, from_origin):
     still unconverged after 200 steps.
     """
     n = t.size
-    lo, hi = np.zeros(n), np.full(n, math.pi / (2 * p))
+    lo, hi = np.full(n, _T_MIN), np.full(n, math.pi / (2 * p))
     s1, sq = np.empty(n), np.empty(n)
     todo = np.arange(n)
     for _ in range(200):
@@ -407,6 +387,7 @@ def _invert_curve(p, t, target, from_origin):
             break
         value, slope, s1_t, sq_t, _ = _curve(p, t, from_origin, _mathmap)
         resid = value - target
+        # log_x rises with t from the origin and falls with t from the edge
         root_above = (resid < 0) == from_origin
         lo, hi = np.where(root_above, t, lo), np.where(root_above, hi, t)
         step = resid / slope
@@ -427,25 +408,31 @@ def wigner_density(p: int, y: float | np.ndarray) -> float | np.ndarray:
     Even in y, supported on the open interval (-edge, edge), normalized to
     total mass 1.  For p >= 3 the density has an integrable |y|^{(2-p)/p}
     singularity at the origin; rho(0) is reported as +inf there.  y may be
-    a 1-d float array, evaluated in one pp_density call.
+    a float or a 1-d float array, evaluated on pp_density's route in one
+    pass; a float y returns a float.  Below |y| = 1.49e-154, where y^2 is
+    subnormal or zero, log y^2 is taken as 2 log|y| and rho is formed in logs.
     """
     _check_order(p)
-    edge = support_edge(p)
-    at_origin = 1.0 / math.pi if p == 2 else math.inf
-    if isinstance(y, np.ndarray):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape)
-        inside = ~(np.abs(y) >= edge)
-        out[inside & (y == 0.0)] = at_origin
-        rest = inside & (y != 0.0)
-        out[rest] = np.abs(y[rest]) * pp_density(p, y[rest] * y[rest])
-        return out
-    y = float(y)
-    if abs(y) >= edge:
-        return 0.0
-    if y == 0.0:
-        return at_origin
-    return abs(y) * pp_density(p, y * y)
+    scalar = not isinstance(y, np.ndarray)
+    y = np.array([float(y)]) if scalar else np.asarray(y, dtype=float)
+    if np.isnan(y).any():
+        raise DomainError("y must be a real number, got nan")
+    out = np.zeros(y.shape)
+    inside = np.abs(y) < support_edge(p)
+    out[inside & (y == 0.0)] = 1.0 / math.pi if p == 2 else math.inf
+    rest = inside & (y != 0.0)
+    a = np.abs(y[rest])
+    x = a * a
+    tiny = x < sys.float_info.min
+    log_a = _mathmap.log(a[tiny])
+    log_x = _mathmap.log(np.where(tiny, 1.0, x))
+    log_x[tiny] = 2 * log_a
+    log_p = _log_pp(p, x, log_x)
+    rho = np.empty(a.size)
+    rho[~tiny] = a[~tiny] * _mathmap.exp(log_p[~tiny])
+    rho[tiny] = _mathmap.exp(log_a + log_p[tiny])
+    out[rest] = rho
+    return float(out[0]) if scalar else out
 
 
 def wigner_density_roots(p: int, y: float) -> float:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tensorspectra.fuss_catalan import gl_panels
+from tensorspectra.fuss_catalan import critical_point, gl_panels, support_edge
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -39,3 +41,85 @@ def checked_gl_panels(monkeypatch):
         return calls
 
     return install
+
+
+# (k, c_k) with sin(a)/a = 1 + sum c_k a^(2k), highest k first.
+_SINC_TERMS = tuple((k, (-1) ** k / math.factorial(2 * k + 1)) for k in range(11, 0, -1))
+
+
+def _reference_log_sinc(a):
+    a2 = a * a
+    s = ds = 0.0
+    for k, c in _SINC_TERMS:
+        s = (s + c) * a2
+        ds = (ds + 2 * k * c) * a2
+    return math.log1p(s), ds / (a * (1 + s))
+
+
+def _reference_curve(p, t, from_origin):
+    """(log_x, d log_x/dt, sin phi, sin((p-1) phi)) at one point t of the
+    curve of P_p's parametric form, on math's functions."""
+    q = p - 1
+    sp = math.sin(p * t)
+    if from_origin:
+        phi = math.pi / p - t
+        s1, sq = math.sin(phi), math.sin(math.pi / p + q * t)
+        log_x = p * math.log(sp) - math.log(s1) - q * math.log(sq)
+        slope = q * q * s1 / (sp * sq) + (2 * p - 1) * math.cos(p * t) / sp + math.cos(phi) / s1
+    else:
+        s1, sq = math.sin(t), math.sin(q * t)
+        (lp, gp), (l1, g1), (lq, gq) = (
+            _reference_log_sinc(p * t), _reference_log_sinc(t), _reference_log_sinc(q * t))
+        log_x = p * lp - l1 - q * lq
+        slope = p * p * gp - g1 - q * q * gq
+    return log_x, slope, s1, sq
+
+
+def reference_pp_density(p, x):
+    """P_p(x) at one float x in (0, 1/u_c] by the scalar Newton loop that
+    pp_density's array route replaced, kept as its bitwise reference.  It
+    carries its own copy of the curve, so a change to the library's curve
+    code shows up as a bit difference."""
+    x = float(x)
+    u_c = critical_point(p)
+    assert 0.0 < x <= 1.0 / u_c
+    z = u_c * x
+    if z >= 1.0 or x == 1.0 / u_c:
+        return 0.0
+    eps4 = 4 * np.finfo(float).eps
+    log_x = math.log(x)
+    lo, hi = 0.0, math.pi / (2 * p)
+    from_origin = log_x < -math.log(math.sin(hi)) - (p - 1) * math.log(math.cos(hi))
+    if from_origin:
+        target = log_x
+        t = min(hi, math.sin(math.pi / p) * math.exp(log_x / p) / p)
+    else:
+        target = math.log(z)
+        t = min(hi, math.sqrt(-2.0 * target / (p * (p - 1))))
+    for _ in range(200):
+        value, slope, s1, sq = _reference_curve(p, t, from_origin)
+        resid = value - target
+        if (resid < 0) == from_origin:
+            lo = t
+        else:
+            hi = t
+        step = resid / slope
+        if abs(step) <= eps4 * t or hi - lo <= eps4 * hi:
+            break
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    else:
+        raise AssertionError(f"reference inversion for P_{p} did not converge at x={x}")
+    log_p = (-(p - 1) * log_x + (p + 1) * math.log(s1) - math.log(sq)) / p
+    return math.exp(log_p - math.log(math.pi))
+
+
+def reference_wigner_density(p, y):
+    """rho(y) = |y| P_p(y^2) at one float y, on reference_pp_density."""
+    y = float(y)
+    if abs(y) >= support_edge(p):
+        return 0.0
+    if y == 0.0:
+        return 1.0 / math.pi if p == 2 else math.inf
+    return abs(y) * reference_pp_density(p, y * y)

@@ -543,3 +543,30 @@ def test_cli_import_leaves_scipy_and_mpmath_unloaded(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"  # after the import
     assert lines[-1] == "[]"  # after every subcommand
+
+
+WARNING_PROBE = """
+import contextlib, io, json, sys, warnings
+warnings.simplefilter("error")
+from tensorspectra import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_no_warning_reaches_the_cli(tmp_path):
+    # every subcommand once, in a fresh interpreter that turns any warning
+    # into an exception; the last is an eigen run where no start converges
+    argvs = [CHEAP_ARGV[name] for name in sorted(CHEAP_ARGV) if name != "sample"]
+    argvs.append(CHEAP_ARGV["sample"] + ["--output", str(tmp_path / "t.bin")])
+    argvs.append(["eigen", "--p", "3", "--N", "48", "--starts", "8", "--seed", "0"])
+    proc = subprocess.run(
+        [sys.executable, "-c", WARNING_PROBE, json.dumps(argvs)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    assert all(code in (0, 2, 3) for code in codes), codes
+    assert codes[-1] == 3

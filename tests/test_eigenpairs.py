@@ -11,7 +11,7 @@ from tensorspectra.eigenpairs import (
     find_real_eigenpairs,
     instanton_from_eigenpair,
 )
-from tensorspectra.errors import DomainError, NoMatchingPairs, SignMismatch
+from tensorspectra.errors import DomainError, NoMatchingPairs, RootFindFailure, SignMismatch
 from tensorspectra.tensors import (
     SymmetricTensor,
     contract_gradient,
@@ -133,12 +133,12 @@ def test_found_classes_within_bound():
         assert len(pairs) <= eigenpair_count_bound(3, 3)
 
 
-def test_all_starts_failing_warns():
-    # max_iter-starved solve on a generic tensor: every start is discarded
+def test_all_starts_failing_raises():
+    # max_iter-starved solve on a generic tensor: every start is discarded,
+    # which is a numerical failure, not an empty result
     T = sample_goe(3, 4, seed=0)
-    with pytest.warns(UserWarning):
-        pairs = find_real_eigenpairs(T, n_starts=1, tol=1e-30, seed=0)
-    assert pairs == []
+    with pytest.raises(RootFindFailure):
+        find_real_eigenpairs(T, n_starts=1, tol=1e-30, seed=0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -300,7 +300,7 @@ def test_singular_jacobian_drops_only_its_row():
         assert_same_bits(got, reference_newton(T, row, 1e-10))
 
 
-def test_all_jacobians_singular_warns_and_returns_nothing(monkeypatch):
+def test_all_jacobians_singular_raises(monkeypatch):
     T, bad = singular_start()
 
     class Starts:
@@ -308,9 +308,8 @@ def test_all_jacobians_singular_warns_and_returns_nothing(monkeypatch):
             return np.tile(bad, (size[0], 1)) * np.arange(1.0, size[0] + 1)[:, None]
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Starts())
-    with pytest.warns(UserWarning):
-        pairs = find_real_eigenpairs(T, n_starts=4, seed=0)
-    assert pairs == []
+    with pytest.raises(RootFindFailure):
+        find_real_eigenpairs(T, n_starts=4, seed=0)
 
 
 # --------------------------------------------------------------- instantons

@@ -23,6 +23,8 @@ from tensorspectra import (
 from tensorspectra.errors import CutContact, DomainError
 from tensorspectra.fuss_catalan import _fc_series, _fc_track, _newton_polish
 
+from conftest import reference_pp_density, reference_wigner_density
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -285,18 +287,30 @@ def test_wigner_density_roots_matches_p3_closed_form():
 ARRAY_ORDERS = [*range(2, 13), 20, 50, 150, 1000]
 
 
+def assert_one_point_calls_match(density, p, points, ref):
+    """density(p, float) on points, one call each, gives floats with the bits
+    of ref: no point's value depends on its neighbours in an array.  A
+    one-point call runs the array Newton (~0.3-1 ms), so grids above 20
+    points are checked at every 10th point."""
+    step = 10 if len(points) > 20 else 1
+    one = [density(p, v) for v in points.tolist()[::step]]
+    assert all(type(v) is float for v in one)
+    assert np.array(one).tobytes() == ref[::step].tobytes(), len(points)
+
+
 @pytest.mark.parametrize("p", ARRAY_ORDERS)
 def test_wigner_density_array_route_is_bitwise_scalar(p):
-    # the scalar route is the reference: the array route runs the same
-    # Newton steps with math's functions, so every bit must agree
+    # the scalar Newton loop kept in conftest is the reference: the array
+    # route runs the same steps with math's functions, so every bit must agree
     edge = support_edge(p)
     grids = [np.linspace(-edge, edge, size) for size in (1, 2, 3, 7, 400, 1001)]
     # the origin, both edges and the last ulps inside them
     inner = [float(np.nextafter(edge, 0.0)), float(np.nextafter(-edge, 0.0))]
     grids.append(np.array([0.0, -0.0, edge, -edge, *inner, 1e-150, -1e-150]))
     for ys in grids:
-        ref = np.array([wigner_density(p, y) for y in ys.tolist()])
+        ref = np.array([reference_wigner_density(p, y) for y in ys.tolist()])
         assert wigner_density(p, ys).tobytes() == ref.tobytes(), ys.size
+        assert_one_point_calls_match(wigner_density, p, ys, ref)
 
 
 @pytest.mark.parametrize("p", ARRAY_ORDERS)
@@ -307,8 +321,48 @@ def test_pp_density_array_route_is_bitwise_scalar(p):
     for _ in range(16):
         last.append(float(np.nextafter(last[-1], 0.0)))
     for xs in (np.linspace(0.0, top, 402)[1:], np.geomspace(1e-300, top, 300), np.array(last)):
-        ref = np.array([pp_density(p, x) for x in xs.tolist()])
+        ref = np.array([reference_pp_density(p, x) for x in xs.tolist()])
         assert pp_density(p, xs).tobytes() == ref.tobytes()
+        assert_one_point_calls_match(pp_density, p, xs, ref)
+
+
+def mp_wigner_density(p, y):
+    """rho(y) at 60 digits: the parametric form solved for t = pi/p - phi,
+    in log t, by mpmath's secant method from the leading-order root."""
+    with mpmath.workdps(60):
+        y = mpmath.mpf(y)
+        log_x, q, c = 2 * mpmath.log(abs(y)), p - 1, mpmath.pi / p
+
+        def resid(log_t):
+            t = mpmath.exp(log_t)
+            return (p * mpmath.log(mpmath.sin(p * t)) - mpmath.log(mpmath.sin(c - t))
+                    - q * mpmath.log(mpmath.sin(c + q * t)) - log_x)
+
+        start = mpmath.log(mpmath.sin(c) / p) + log_x / p
+        t = mpmath.exp(mpmath.findroot(resid, (start, start + mpmath.mpf("1e-3"))))
+        s1, sq = mpmath.sin(c - t), mpmath.sin(c + q * t)
+        log_rho = (log_x / 2 - q * log_x / p + (p + 1) * mpmath.log(s1) / p
+                   - mpmath.log(sq) / p - mpmath.log(mpmath.pi))
+        return mpmath.exp(log_rho)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_wigner_density_below_the_subnormal_square(p):
+    # y*y is subnormal or zero below |y| = 1.49e-154; log y^2 = 2 log|y| keeps
+    # full precision there, scalar and array alike
+    ys = [1e-155, 1e-160, 1e-200, 1e-300, 5e-324]
+    got = wigner_density(p, np.array([*ys, *(-y for y in ys)]))
+    for y, v, w in zip(ys, got[:5], got[5:]):
+        ref = mp_wigner_density(p, y)
+        assert abs(v - ref) <= 1e-12 * ref, y
+        assert v == w == wigner_density(p, y) == wigner_density(p, -y)
+
+
+def test_wigner_density_refuses_nan():
+    with pytest.raises(DomainError):
+        wigner_density(3, math.nan)
+    with pytest.raises(DomainError):
+        wigner_density(3, np.array([0.5, math.nan]))
 
 
 def test_pp_density_array_route_refuses_like_scalar():

@@ -2,10 +2,11 @@
 
 A real eigenpair (lambda, x) solves T x^{p-1} = lambda x with x.x = 1,
 i.e. x is a critical point of T x^p / p on the unit sphere and lambda is
-its Rayleigh value.  Multistart Newton on the Lagrange system, all
-starts iterated together as one array, finds isolated real classes;
-completeness is not certified (the count is only bounded by
-((p-1)^N - 1)/(p-2)).
+its Rayleigh value.  For p >= 3, multistart Newton on the Lagrange
+system, all starts iterated together as one array, finds isolated real
+classes; completeness is not certified (the count is only bounded by
+((p-1)^N - 1)/(p-2)).  For p = 2 the classes are the N eigenvectors of
+the symmetric matrix from np.linalg.eigh, which is complete.
 
 Real eigenpairs map one-to-one onto the real saddle points ("instantons")
 of the action phi^2/2 - T phi^p/(p y): phi = (y/lambda)^{1/(p-2)} x with
@@ -110,21 +111,35 @@ def _rayleigh(tensor, x):
     return M, g, _row_dot(x, g)
 
 
-def _jacobian(tensor, M, lam, x):
-    """Jacobians of (T x^{p-1} - lambda x, (x.x - 1)/2) in (x, lambda), one per row."""
+def _jacobian(tensor, M, lam, x, out):
+    """Jacobians of (T x^{p-1} - lambda x, (x.x - 1)/2) in (x, lambda), one per
+    row, written into the contiguous (S, N+1, N+1) array out.
+
+    The block is (p-1) M - lambda I entry by entry: off the diagonal that
+    subtracts lambda * 0.0, which turns a -0.0 into +0.0 where lambda < 0.
+    """
     S, N = x.shape
-    J = np.empty((S, N + 1, N + 1))
-    J[:, :N, :N] = (tensor.p - 1) * M - lam[:, None, None] * np.eye(N)
-    J[:, :N, N] = -x
-    J[:, N, :N] = x
-    J[:, N, N] = 0.0
-    return J
+    block = out[:, :N, :N]
+    diag = out.reshape(S, -1)[:, : N * (N + 2) : N + 2]
+    np.multiply(M, tensor.p - 1, out=block)
+    zero = lam * 0.0
+    if not (zero == 0).all() or (M == 0).any():
+        # subtracting +-0.0 from a nonzero entry is exact, so the pass is
+        # needed only for a NaN lambda * 0.0 or a zero entry of M
+        np.subtract(block, zero[:, None, None], out=block)
+        np.multiply(np.diagonal(M, axis1=1, axis2=2), tensor.p - 1, out=diag)
+    diag -= lam[:, None]
+    np.negative(x, out=out[:, :N, N])
+    out[:, N, :N] = x
+    out[:, N, N] = 0.0
+    return out
 
 
 def _solve_rows(J, F):
-    """Newton steps J^{-1} F for a stack; a row whose J is singular gets NaN."""
+    """Newton steps J^{-1} F for (S, N+1, N+1) and (S, N+1, 1) stacks; a row
+    whose J is singular gets NaN."""
     try:
-        return np.linalg.solve(J, F[:, :, None])[:, :, 0]
+        return np.linalg.solve(J, F)
     except np.linalg.LinAlgError:
         step = np.full(F.shape, np.nan)
         for i in range(len(F)):
@@ -140,23 +155,24 @@ def _newton_batch(tensor, x0, tol):
 
     lambda is re-synchronized with the Rayleigh value after every step.  A
     row leaves the batch when it converges, fails (singular Jacobian,
-    non-finite or huge step, zero or non-finite norm) or after _NEWTON_MAX_ITER steps.
+    non-finite or huge step, zero norm) or after _NEWTON_MAX_ITER steps.
     Returns one (lam, x, residual) per row, or None for a row that failed.
     """
-    N = tensor.N
-    results = [None] * len(x0)
-    rows = np.arange(len(x0))
+    S, N = x0.shape
+    results = [None] * S
+    rows = np.arange(S)
+    J_all = np.empty((S, N + 1, N + 1))
+    F_all = np.empty((S, N + 1, 1))
     x = x0 / _row_norm(x0)[:, None]
     M, g, lam = _rayleigh(tensor, x)
     for _ in range(_NEWTON_MAX_ITER):
-        if not rows.size:
+        S = len(rows)
+        if not S:
             break
-        F = np.empty((len(rows), N + 1))
-        F[:, :N] = residual = g - lam[:, None] * x
-        F[:, N] = 0.5 * (_row_dot(x, x) - 1.0)
-        J = _jacobian(tensor, M, lam, x)
-        near = np.flatnonzero((_row_norm(residual) < tol) & (np.abs(F[:, N]) < 0.5 * tol))
-        keep = np.ones(len(rows), dtype=bool)
+        J, F = _jacobian(tensor, M, lam, x, J_all[:S]), F_all[:S]
+        residual = np.subtract(g, lam[:, None] * x, out=F[:, :N, 0])
+        F[:, N, 0] = constraint = 0.5 * (_row_dot(x, x) - 1.0)
+        near = np.flatnonzero((_row_norm(residual) < tol) & (np.abs(constraint) < 0.5 * tol))
         if near.size:
             # re-check on the unit sphere; a row that fails it steps from
             # there with the Jacobian at the renormalized point but the
@@ -164,19 +180,29 @@ def _newton_batch(tensor, x0, tol):
             xn = x[near] / _row_norm(x[near])[:, None]
             Mn, gn, lamn = _rayleigh(tensor, xn)
             resn = _row_norm(gn - lamn[:, None] * xn)
-            for j, i in enumerate(near):
-                if resn[j] < tol:
-                    results[rows[i]] = (float(lamn[j]), xn[j].copy(), float(resn[j]))
-                    keep[i] = False
+            done = resn < tol
+            for j in np.flatnonzero(done):
+                results[rows[near[j]]] = (float(lamn[j]), xn[j].copy(), float(resn[j]))
             x[near] = xn
-            J[near] = _jacobian(tensor, Mn, lamn, xn)
-        step = _solve_rows(J[keep], F[keep])
-        rows, x = rows[keep], x[keep]
-        ok = np.isfinite(step).all(axis=1) & ~(_row_norm(step) > 1e6)
-        rows, x = rows[ok], x[ok] - step[ok, :N]
+            J[near] = _jacobian(tensor, Mn, lamn, xn, np.empty((near.size, N + 1, N + 1)))
+            if done.any():
+                keep = np.ones(S, dtype=bool)
+                keep[near[done]] = False
+                J, F, rows, x = J[keep], F[keep], rows[keep], x[keep]
+        step = _solve_rows(J, F)[:, :, 0]
+        # a NaN or infinite entry gives a NaN or infinite norm
+        ok = _row_norm(step) <= 1e6
+        if ok.all():
+            x = x - step[:, :N]
+        else:
+            rows, x = rows[ok], x[ok] - step[ok, :N]
+        # x and a step at most 1e6 long are finite, and so is the norm
         nrm = _row_norm(x)
-        ok = (nrm != 0) & np.isfinite(nrm)
-        rows, x = rows[ok], x[ok] / nrm[ok, None]
+        ok = nrm != 0
+        if ok.all():
+            x /= nrm[:, None]
+        else:
+            rows, x = rows[ok], x[ok] / nrm[ok, None]
         M, g, lam = _rayleigh(tensor, x)
     return results
 
@@ -193,55 +219,100 @@ def _canonical_sign(lam, x, p):
     return lam, (-x if negative_lead else x)
 
 
+def _merge_classes(results, p, N, tol):
+    """Group the converged (lam, x, residual) results, in order, into classes.
+
+    A result, in the sign convention of _canonical_sign, joins the first
+    class it matches, exactly (|dlam| < 10*tol and min(|x-x'|, |x+x'|) <
+    1e-6) or nearly (|dlam| < max(1e3*tol, 1e-8) and that distance < 2e-2,
+    which flags the class degenerate); a smaller residual replaces the
+    representative.  Both distances to every representative come from one
+    _row_norm call, with the bits of np.linalg.norm on each pair.  Returns
+    [lam, x, residual, degenerate] lists in the order the classes were found.
+    """
+    classes: list[list] = []
+    # each representative and its negative, so x - signed gives x -+ x'
+    signed = np.empty((len(results), 2, N))
+    lams = np.empty(len(results))
+    for lam, x, res in results:
+        lam, x = _canonical_sign(lam, x, p)
+        k = len(classes)
+        dist = _row_norm((x - signed[:k]).reshape(2 * k, N))
+        xdist = np.minimum(dist[::2], dist[1::2])
+        dlam = np.abs(lam - lams[:k])
+        # an exact match is also a near one, so the first near class is the
+        # first class that matches at all
+        hit = np.flatnonzero((dlam < max(1e3 * tol, 1e-8)) & (xdist < 2e-2))
+        if hit.size:
+            i = hit[0]
+            if res < classes[i][2]:
+                classes[i][:3] = lam, x, res
+                signed[i] = x, -x
+                lams[i] = lam
+            if not (dlam[i] < 10 * tol and xdist[i] < 1e-6):
+                # same lambda but x wandering on a scale far above tol: a
+                # non-isolated critical manifold, flagged not resolved
+                classes[i][3] = True
+        else:
+            classes.append([lam, x, res, False])
+            signed[k] = x, -x
+            lams[k] = lam
+    return classes
+
+
+def _matrix_classes(tensor, tol):
+    """p = 2: the N eigenvectors from np.linalg.eigh, each certified by
+    _newton_batch started at it.  Eigenvalues closer than max(1e3*tol, 1e-8)
+    count as repeated, and their classes are flagged degenerate."""
+    w, v = np.linalg.eigh(tensor.to_dense())
+    close = np.diff(w) < max(1e3 * tol, 1e-8)
+    repeated = np.append(close, False) | np.insert(close, 0, False)
+    classes = []
+    for result, degenerate in zip(_newton_batch(tensor, v.T, tol), repeated.tolist()):
+        if result is not None:
+            lam, x = _canonical_sign(result[0], result[1], 2)
+            classes.append([lam, x, result[2], degenerate])
+    return classes
+
+
 def find_real_eigenpairs(
     tensor: SymmetricTensor,
     n_starts: int = 100,
     tol: float = 1e-10,
     seed: int = 0,
 ) -> list[Eigenpair]:
-    """Batched multistart Newton search for real eigenpair classes.
+    """Real eigenpair classes, sorted by decreasing lambda.
 
-    Starts are uniform on the sphere and iterate together as one
-    (n_starts, N) array; failed starts are discarded, and RootFindFailure
-    is raised when every start fails.  tol must be positive and finite.
-    Found pairs are deduplicated (|dlam| < 10*tol and
-    min(|x-x'|, |x+x'|) < 1e-6) with the sign convention of
-    _canonical_sign.  The returned classes are not guaranteed complete.
+    For p >= 3 this is a batched multistart Newton search: starts are
+    uniform on the sphere and iterate together as one (n_starts, N) array;
+    failed starts are discarded, and the converged ones are deduplicated
+    (|dlam| < 10*tol and min(|x-x'|, |x+x'|) < 1e-6) with the sign
+    convention of _canonical_sign.  The returned classes are not
+    guaranteed complete.
+
+    For p = 2 the classes are the N eigenvectors of the symmetric matrix
+    (np.linalg.eigh), so the answer is complete and n_starts and seed are
+    not used; each carries the same residual certificate, and repeated
+    eigenvalues are flagged degenerate.
+
+    RootFindFailure is raised when no class is certified to tol.  tol must
+    be positive and finite.
     """
     if n_starts < 1:
         raise DomainError("need at least one start")
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    rng = np.random.default_rng(seed)
-    starts = rng.normal(size=(n_starts, tensor.N))
-    # clusters: [lam, x, res, degenerate]
-    clusters: list[list] = []
-    for result in _newton_batch(tensor, starts, tol):
-        if result is None:
-            continue
-        lam, x, res = result
-        lam, x = _canonical_sign(lam, x, tensor.p)
-        merged = False
-        for cluster in clusters:
-            xdist = min(
-                np.linalg.norm(x - cluster[1]), np.linalg.norm(x + cluster[1])
-            )
-            exact = abs(lam - cluster[0]) < 10 * tol and xdist < 1e-6
-            # same lambda but x wandering on a scale far above tol: a
-            # non-isolated critical manifold, flagged not resolved
-            near = abs(lam - cluster[0]) < max(1e3 * tol, 1e-8) and xdist < 2e-2
-            if exact or near:
-                if res < cluster[2]:
-                    cluster[0], cluster[1], cluster[2] = lam, x, res
-                if near and not exact:
-                    cluster[3] = True
-                merged = True
-                break
-        if not merged:
-            clusters.append([lam, x, res, False])
-    if not clusters:
-        raise RootFindFailure(f"no eigenpair converged from any of {n_starts} starts")
-    found = [Eigenpair(lam, x, res, deg) for lam, x, res, deg in clusters]
+    if tensor.p == 2:
+        classes = _matrix_classes(tensor, tol)
+        failure = f"no eigenvector of the matrix certified to tol={tol}"
+    else:
+        starts = np.random.default_rng(seed).normal(size=(n_starts, tensor.N))
+        results = [r for r in _newton_batch(tensor, starts, tol) if r is not None]
+        classes = _merge_classes(results, tensor.p, tensor.N, tol)
+        failure = f"no eigenpair converged from any of {n_starts} starts"
+    if not classes:
+        raise RootFindFailure(failure)
+    found = [Eigenpair(lam, x, res, deg) for lam, x, res, deg in classes]
     found.sort(key=lambda pair: -pair.lam)
     return found
 

@@ -118,6 +118,14 @@ def _bad_tensor_files(tmp_path):
     return files
 
 
+def test_eigen_p2_returns_every_class(capsys):
+    code, out = run_cli(["eigen", "--p", "2", "--N", "16", "--starts", "40", "--seed", "3"], capsys)
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert len(data) == 16
+    assert all(rec["residual"] <= 1e-10 for rec in data)
+
+
 @pytest.mark.parametrize("case", ["missing", "not_a_tensor", "truncated", "header_mismatch"])
 def test_eigen_input_rejects_bad_files(tmp_path, capsys, case):
     path = _bad_tensor_files(tmp_path)[case]

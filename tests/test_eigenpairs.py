@@ -5,6 +5,9 @@ import pytest
 
 from tensorspectra.eigenpairs import (
     Eigenpair,
+    _canonical_sign,
+    _jacobian,
+    _merge_classes,
     _newton_batch,
     discontinuity_exponent,
     eigenpair_count_bound,
@@ -301,15 +304,271 @@ def test_singular_jacobian_drops_only_its_row():
 
 
 def test_all_jacobians_singular_raises(monkeypatch):
-    T, bad = singular_start()
+    # p = 3 with T_111 = 2, T_112 = T_122 = 1, T_222 = 0: at x = e1, M = T x
+    # is [[2, 1], [1, 1]] and lam = 2, so the Jacobian [[2, 2, -1], [2, 0, 0],
+    # [1, 0, 0]] is exactly singular while the residual (0, 1) is not zero
+    data = np.zeros(4)
+    _, rank, _ = multiset_table(3, 2)
+    data[rank[(0, 0, 0)]] = 2.0
+    data[rank[(0, 0, 1)]] = 1.0
+    data[rank[(0, 1, 1)]] = 1.0
+    T = SymmetricTensor(3, 2, data)
 
     class Starts:
         def normal(self, size):
-            return np.tile(bad, (size[0], 1)) * np.arange(1.0, size[0] + 1)[:, None]
+            return np.tile([3.0, 0.0], (size[0], 1)) * np.arange(1.0, size[0] + 1)[:, None]
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Starts())
+    assert _newton_batch(T, Starts().normal((4, 2)), 1e-10) == [None] * 4
     with pytest.raises(RootFindFailure):
         find_real_eigenpairs(T, n_starts=4, seed=0)
+
+
+def test_jacobian_has_the_bits_of_the_dense_formula():
+    # (p-1) M - lam * eye(N) subtracts lam * 0.0 off the diagonal: a -0.0
+    # entry of M turns +0.0 where lam < 0 and stays where lam > 0, and a
+    # non-finite lam fills the row's block with NaN
+    p, N = 3, 4
+    rng = np.random.default_rng(0)
+    M = rng.normal(size=(7, N, N))
+    M[:, 0, 1] = -0.0
+    M[:, 1, 0] = 0.0
+    M[:, 2, 2] = -0.0
+    lam = np.array([-1.5, 2.0, -0.0, 0.0, np.nan, np.inf, -np.inf])
+    x = rng.normal(size=(7, N))
+    expected = np.empty((7, N + 1, N + 1))
+    expected[:, :N, N] = -x
+    expected[:, N, :N] = x
+    expected[:, N, N] = 0.0
+    T = sample_goe(p, N, seed=0)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        expected[:, :N, :N] = (p - 1) * M - lam[:, None, None] * np.eye(N)
+        got = _jacobian(T, M, lam, x, np.empty((7, N + 1, N + 1)))
+    assert got.tobytes() == expected.tobytes()
+    # no zero in M and a finite lam: the block is (p-1) M with lam off the diagonal
+    M = rng.normal(size=(3, N, N))
+    lam = np.array([-1.0, 0.5, 3.0])
+    expected[:3, :N, :N] = (p - 1) * M - lam[:, None, None] * np.eye(N)
+    expected[:3, :N, N] = -x[:3]
+    expected[:3, N, :N] = x[:3]
+    assert _jacobian(T, M, lam, x[:3], np.empty((3, N + 1, N + 1))).tobytes() == expected[:3].tobytes()
+
+
+def test_newton_matches_one_start_loop_with_exact_zeros_and_negative_lambda():
+    # diagonal tensors give M exact zeros off the diagonal, and their
+    # negative entries give starts with lam < 0 (at p = 4 the classes keep
+    # it): the Jacobian's signed zeros must match the dense formula's
+    diag3 = diagonal_tensor([1.0, -2.0, 3.0, -0.5])
+    data = np.zeros(math.comb(3 + 4 - 1, 4))
+    _, rank, _ = multiset_table(4, 3)
+    for i, d in enumerate([-1.0, 2.0, -3.0]):
+        data[rank[(i,) * 4]] = d
+    data[rank[(0, 0, 1, 1)]] = -0.25
+    diag4 = SymmetricTensor(4, 3, data)
+    for T, starts in ((diag3, 40), (diag4, 40)):
+        x0 = np.random.default_rng(T.p).normal(size=(starts, T.N))
+        results = _newton_batch(T, x0, 1e-10)
+        assert any(result is not None and result[0] < 0 for result in results)
+        for row, got in zip(x0, results):
+            assert_same_bits(got, reference_newton(T, row, 1e-10))
+        converged = [result for result in results if result is not None]
+        assert_same_classes(
+            _merge_classes(converged, T.p, T.N, 1e-10), reference_clusters(converged, T.p, 1e-10)
+        )
+
+
+# ------------------------------------------- class merge vs the per-pair loop
+
+def reference_clusters(results, p, tol):
+    """The per-pair merge loop that _merge_classes replaced, kept as its
+    bitwise reference: up to two np.linalg.norm calls per class and start."""
+    clusters = []
+    for lam, x, res in results:
+        lam, x = _canonical_sign(lam, x, p)
+        merged = False
+        for cluster in clusters:
+            xdist = min(np.linalg.norm(x - cluster[1]), np.linalg.norm(x + cluster[1]))
+            exact = abs(lam - cluster[0]) < 10 * tol and xdist < 1e-6
+            near = abs(lam - cluster[0]) < max(1e3 * tol, 1e-8) and xdist < 2e-2
+            if exact or near:
+                if res < cluster[2]:
+                    cluster[0], cluster[1], cluster[2] = lam, x, res
+                if near and not exact:
+                    cluster[3] = True
+                merged = True
+                break
+        if not merged:
+            clusters.append([lam, x, res, False])
+    return clusters
+
+
+def assert_same_classes(got, expected):
+    assert len(got) == len(expected)
+    for (lam, x, res, deg), (lam_r, x_r, res_r, deg_r) in zip(got, expected):
+        assert np.array([lam, res]).tobytes() == np.array([lam_r, res_r]).tobytes()
+        assert x.tobytes() == x_r.tobytes()
+        assert deg == deg_r
+
+
+def converged_results(T, starts, seed, tol=1e-10):
+    x0 = np.random.default_rng(seed).normal(size=(starts, T.N))
+    return [result for result in _newton_batch(T, x0, tol) if result is not None]
+
+
+@pytest.mark.parametrize(
+    "p, N, starts, seeds",
+    [(3, 8, 50, range(6)), (4, 10, 30, range(3)), (3, 32, 16, range(2)), (5, 5, 40, range(3))],
+)
+def test_merge_matches_per_pair_loop(p, N, starts, seeds):
+    for seed in seeds:
+        results = converged_results(sample_goe(p, N, seed), starts, seed)
+        assert_same_classes(_merge_classes(results, p, N, 1e-10), reference_clusters(results, p, 1e-10))
+
+
+def test_merge_matches_per_pair_loop_on_zero_and_degenerate_tensors():
+    # the zero tensor: every start is its own class (5 of them)
+    results = converged_results(SymmetricTensor.zeros(3, 4), 5, 0)
+    classes = _merge_classes(results, 3, 4, 1e-10)
+    assert len(classes) == 5
+    assert_same_classes(classes, reference_clusters(results, 3, 1e-10))
+    # the example tensor: near members flag its class degenerate
+    results = converged_results(example_tensor(), 100, 1)
+    classes = _merge_classes(results, 3, 3, 1e-10)
+    assert [c[3] for c in classes] == [True]
+    assert_same_classes(classes, reference_clusters(results, 3, 1e-10))
+
+
+def test_merge_a_later_member_with_a_smaller_residual_replaces_the_representative():
+    e = np.eye(3)
+    tilt = np.array([1.0, 1e-8, 0.0]) / math.hypot(1.0, 1e-8)
+    wander = np.array([1.0, 1e-3, 0.0]) / math.hypot(1.0, 1e-3)
+    results = [
+        (2.0, e[0], 5e-11),
+        (-1.0, -e[1], 1e-11),  # odd p: the class (1, e2)
+        (2.0 + 1e-12, tilt, 2e-12),  # exact member with a better residual
+        (2.0 - 5e-10, wander, 1e-11),  # near member: degenerate, kept out
+        (1.0, e[1], 3e-11),  # same class as the second, worse residual
+        (-3.0, e[2], 0.0),
+    ]
+    expected = reference_clusters(results, 3, 1e-10)
+    assert [(c[0], c[2], c[3]) for c in expected] == [
+        (2.0 + 1e-12, 2e-12, True), (1.0, 1e-11, False), (3.0, 0.0, False)
+    ]
+    assert expected[0][1].tobytes() == tilt.tobytes()
+    assert_same_classes(_merge_classes(results, 3, 3, 1e-10), expected)
+    # a result near two classes joins the first one found
+    results = [(2.0, e[0], 3e-11), (2.0 + 1.5e-7, e[0], 3e-11), (2.0 + 0.75e-7, e[0], 1e-11)]
+    expected = reference_clusters(results, 3, 1e-10)
+    assert [(c[0], c[2], c[3]) for c in expected] == [
+        (2.0 + 0.75e-7, 1e-11, True), (2.0 + 1.5e-7, 3e-11, False)
+    ]
+    assert_same_classes(_merge_classes(results, 3, 3, 1e-10), expected)
+
+
+# ------------------------------------------------------ p = 2: the matrix route
+
+@pytest.mark.parametrize("seed", range(4))
+def test_p2_returns_every_matrix_eigenpair(seed):
+    T = sample_goe(2, 16, seed)
+    pairs = find_real_eigenpairs(T, n_starts=40, tol=1e-10, seed=seed)
+    w = np.linalg.eigvalsh(T.to_dense())[::-1]
+    assert len(pairs) == 16
+    # relative to the matrix norm: a Rayleigh value is good to ~eps ||T||,
+    # so near zero an eigenvalue's own scale would ask for more
+    scale = np.max(np.abs(w))
+    for pair, expected in zip(pairs, w):
+        assert abs(pair.lam - expected) <= 1e-12 * scale
+        assert pair.residual <= 1e-10
+        assert abs(pair.x @ pair.x - 1) < 1e-12
+        assert pair.x[np.nonzero(pair.x)[0][0]] > 0
+        assert not pair.degenerate
+        residual = np.linalg.norm(contract_gradient(T, pair.x) - pair.lam * pair.x)
+        assert residual <= 1e-10
+
+
+def test_p2_flags_repeated_eigenvalues_degenerate():
+    pairs = find_real_eigenpairs(from_dense(np.diag([1.0, 2.0, 1.0, -1.0])), n_starts=1)
+    assert [(pair.lam, pair.degenerate) for pair in pairs] == [
+        (2.0, False), (1.0, True), (1.0, True), (-1.0, False)
+    ]
+    pairs = find_real_eigenpairs(SymmetricTensor.zeros(2, 5), n_starts=1)
+    assert len(pairs) == 5
+    assert all(pair.lam == 0 and pair.residual == 0 and pair.degenerate for pair in pairs)
+
+
+def test_p2_with_an_unreachable_tol_raises():
+    with pytest.raises(RootFindFailure):
+        find_real_eigenpairs(sample_goe(2, 6, seed=0), n_starts=1, tol=1e-30)
+
+
+# ------------------------------------------------ N = 2: the binary-form oracle
+
+def binary_form_directions(T):
+    """Real eigenvectors at N = 2, one unit x per class, as the real roots of
+    x2 (T x^{p-1})_1 - x1 (T x^{p-1})_2: at x = (t, 1) a polynomial in t of
+    degree p, solved by np.roots; a zero t^p coefficient adds x = e1."""
+    p = T.p
+    # (T x^{p-1})_a at x = (t, 1): the t^k coefficient is C(p-1, k) T_{a 1^k 2^{p-1-k}}
+    g = [
+        [math.comb(p - 1, k) * T.component(a, *([0] * k + [1] * (p - 1 - k))) for k in range(p)]
+        for a in range(2)
+    ]
+    f = np.zeros(p + 1)  # ascending powers of t
+    f[:p] += g[0]
+    f[1:] -= g[1]
+    roots = np.roots(f[::-1])
+    real = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(1, np.abs(roots))].real
+    xs = [np.array([t, 1.0]) / math.hypot(t, 1.0) for t in real]
+    if f[p] == 0:
+        xs.append(np.array([1.0, 0.0]))
+    return xs
+
+
+def unmatched(pairs, xs):
+    """Eigenpairs whose x is none of the directions xs, up to sign."""
+    return [
+        pair for pair in pairs
+        if min(min(np.linalg.norm(pair.x - x), np.linalg.norm(pair.x + x)) for x in xs) >= 1e-6
+    ]
+
+
+def test_binary_form_oracle_on_a_diagonal_tensor():
+    # T x^3 = x1^3 + x2^3 has eigenvectors e1, e2 and (1, 1)/sqrt(2)
+    xs = binary_form_directions(diagonal_tensor([1.0, 1.0]))
+    assert len(xs) == 3
+    expected = (np.eye(2)[0], np.eye(2)[1], np.ones(2) / math.sqrt(2))
+    assert not unmatched([Eigenpair(0.0, x, 0.0) for x in expected], xs)
+
+
+def test_newton_finds_every_class_at_n2_p3():
+    for seed in range(200):
+        T = sample_goe(3, 2, seed)
+        xs = binary_form_directions(T)
+        pairs = find_real_eigenpairs(T, n_starts=20, seed=seed)
+        assert len(pairs) == len(xs), seed
+        assert not unmatched(pairs, xs), seed
+
+
+@pytest.mark.parametrize("p", range(4, 9))
+def test_newton_classes_are_binary_form_roots_at_n2(p):
+    # Newton from 20 starts can miss classes at larger p (seeds 0-49 here),
+    # but every class it returns must be a root of the binary form
+    for seed in range(50):
+        T = sample_goe(p, 2, seed)
+        xs = binary_form_directions(T)
+        pairs = find_real_eigenpairs(T, n_starts=20, seed=seed)
+        assert len(pairs) <= len(xs), seed
+        assert not unmatched(pairs, xs), seed
+
+
+@pytest.mark.parametrize("p", range(3, 7))
+def test_mean_real_eigenvector_count_at_n2(p):
+    # Draisma & Horobet (2016): for the orthogonally invariant Gaussian
+    # ensemble the mean number of real eigenvectors (up to sign) at N = 2 is
+    # sqrt(3p - 2)
+    counts = np.array([len(binary_form_directions(sample_goe(p, 2, seed))) for seed in range(1000)])
+    stderr = counts.std(ddof=1) / math.sqrt(len(counts))
+    assert abs(counts.mean() - math.sqrt(3 * p - 2)) < 4 * stderr
 
 
 # --------------------------------------------------------------- instantons

@@ -6,7 +6,8 @@ its Rayleigh value.  For p >= 3, multistart Newton on the Lagrange
 system, all starts iterated together as one array, finds isolated real
 classes; completeness is not certified (the count is only bounded by
 ((p-1)^N - 1)/(p-2)).  For p = 2 the classes are the N eigenvectors of
-the symmetric matrix from np.linalg.eigh, which is complete.
+the symmetric matrix from np.linalg.eigh, which is complete: all N are
+certified to tol or RootFindFailure is raised.
 
 Real eigenpairs map one-to-one onto the real saddle points ("instantons")
 of the action phi^2/2 - T phi^p/(p y): phi = (y/lambda)^{1/(p-2)} x with
@@ -125,7 +126,9 @@ def _jacobian(tensor, M, lam, x, out):
     zero = lam * 0.0
     if not (zero == 0).all() or (M == 0).any():
         # subtracting +-0.0 from a nonzero entry is exact, so the pass is
-        # needed only for a NaN lambda * 0.0 or a zero entry of M
+        # needed only for a NaN lambda * 0.0 or a zero entry of M.  The
+        # check reads contiguous M, about a third of the cost of the
+        # broadcast subtract into the strided block at S = 16, N = 32
         np.subtract(block, zero[:, None, None], out=block)
         np.multiply(np.diagonal(M, axis1=1, axis2=2), tensor.p - 1, out=diag)
     diag -= lam[:, None]
@@ -263,15 +266,21 @@ def _merge_classes(results, p, N, tol):
 def _matrix_classes(tensor, tol):
     """p = 2: the N eigenvectors from np.linalg.eigh, each certified by
     _newton_batch started at it.  Eigenvalues closer than max(1e3*tol, 1e-8)
-    count as repeated, and their classes are flagged degenerate."""
+    count as repeated, and their classes are flagged degenerate.  Raises
+    RootFindFailure unless all N are certified."""
     w, v = np.linalg.eigh(tensor.to_dense())
     close = np.diff(w) < max(1e3 * tol, 1e-8)
     repeated = np.append(close, False) | np.insert(close, 0, False)
+    results = _newton_batch(tensor, v.T, tol)
+    missed = results.count(None)
+    if missed:
+        raise RootFindFailure(
+            f"{missed} of the {tensor.N} eigenvectors of the matrix not certified to tol={tol}"
+        )
     classes = []
-    for result, degenerate in zip(_newton_batch(tensor, v.T, tol), repeated.tolist()):
-        if result is not None:
-            lam, x = _canonical_sign(result[0], result[1], 2)
-            classes.append([lam, x, result[2], degenerate])
+    for (lam, x, res), degenerate in zip(results, repeated.tolist()):
+        lam, x = _canonical_sign(lam, x, 2)
+        classes.append([lam, x, res, degenerate])
     return classes
 
 
@@ -293,10 +302,14 @@ def find_real_eigenpairs(
     For p = 2 the classes are the N eigenvectors of the symmetric matrix
     (np.linalg.eigh), so the answer is complete and n_starts and seed are
     not used; each carries the same residual certificate, and repeated
-    eigenvalues are flagged degenerate.
+    eigenvalues are flagged degenerate.  If any of the N cannot be
+    certified to tol (a tol below eigh's residual floor of a few eps times
+    the matrix norm, or a repeated eigenvalue above it, where the Newton
+    Jacobian is singular), RootFindFailure is raised instead of returning
+    fewer than N.
 
-    RootFindFailure is raised when no class is certified to tol.  tol must
-    be positive and finite.
+    For p >= 3, RootFindFailure is raised when no start converges.  tol
+    must be positive and finite.
     """
     if n_starts < 1:
         raise DomainError("need at least one start")
@@ -304,14 +317,12 @@ def find_real_eigenpairs(
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if tensor.p == 2:
         classes = _matrix_classes(tensor, tol)
-        failure = f"no eigenvector of the matrix certified to tol={tol}"
     else:
         starts = np.random.default_rng(seed).normal(size=(n_starts, tensor.N))
         results = [r for r in _newton_batch(tensor, starts, tol) if r is not None]
         classes = _merge_classes(results, tensor.p, tensor.N, tol)
-        failure = f"no eigenpair converged from any of {n_starts} starts"
-    if not classes:
-        raise RootFindFailure(failure)
+        if not classes:
+            raise RootFindFailure(f"no eigenpair converged from any of {n_starts} starts")
     found = [Eigenpair(lam, x, res, deg) for lam, x, res, deg in classes]
     found.sort(key=lambda pair: -pair.lam)
     return found

@@ -501,6 +501,25 @@ def test_p2_with_an_unreachable_tol_raises():
         find_real_eigenpairs(sample_goe(2, 6, seed=0), n_starts=1, tol=1e-30)
 
 
+def test_p2_raises_when_only_some_eigenvectors_are_certified():
+    # two rotated 2 x 2 blocks: eigh's residual floor is ~5e-10 on the block
+    # of norm 3e6 and ~1e-16 on the block of norm 1
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    A = np.zeros((4, 4))
+    A[:2, :2] = R @ np.diag([3e6, -2e6]) @ R.T
+    A[2:, 2:] = R @ np.diag([1.0, 0.5]) @ R.T
+    T = from_dense(A)
+    pairs = find_real_eigenpairs(T, tol=1e-8)
+    assert len(pairs) == 4
+    assert all(pair.residual < 1e-8 for pair in pairs)
+    # at tol = 1e-10 Newton certifies the two small eigenvectors only
+    _, v = np.linalg.eigh(A)
+    assert [r is None for r in _newton_batch(T, v.T, 1e-10)] == [True, False, False, True]
+    with pytest.raises(RootFindFailure, match="2 of the 4 eigenvectors"):
+        find_real_eigenpairs(T, tol=1e-10)
+
+
 # ------------------------------------------------ N = 2: the binary-form oracle
 
 def binary_form_directions(T):

@@ -9,7 +9,8 @@ S_q = { arg g in (q w, (q+1) w) }, w = 2 pi/(p-2), the tilted-line integral
 is its Borel sum (alpha_q is the sector bisectrix).  Neighbouring sector
 sums can differ: the jump at a cut-carrying boundary is controlled by the
 real instantons and approaches i*eta/sqrt(p-2) * exp(-(p-2)/(2p|g|)) as
-|g| -> 0 (eta = 1 for p odd, 2 for p even).
+|g| -> 0 (eta = 1 for p odd, 2 for p even).  Below ~1e-9 it is integrated
+over the real instanton's steepest-descent contour (Lefschetz thimble).
 
 Angles are passed as explicit real numbers (not reduced mod 2 pi): the two
 sides of a cut differ exactly by that 2 pi bookkeeping.
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, OutsideWedge, ParityError, QuadratureFailure
+from .errors import BranchTrackingFailed, DomainError, OutsideWedge, ParityError, QuadratureFailure
 from .fuss_catalan import gl_panels
 
 __all__ = [
@@ -44,7 +45,8 @@ _LINE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """Angular sector S_q of the coupling plane with its bisectrix."""
+    """Angular sector S_q of the coupling plane with its bisectrix, and the
+    number eta of real instantons trapped at its lower boundary arg g = q w."""
 
     p: int
     q: int
@@ -60,7 +62,9 @@ class SectorSpec:
         omega = 2 * math.pi / (self.p - 2)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "alpha_q", (self.q + 0.5) * omega)
-        object.__setattr__(self, "eta", 1 if self.p % 2 else 2)
+        # phi_r of instanton_points is real iff 2r - q = 0 mod p - 2
+        eta = sum((2 * r - self.q) % (self.p - 2) == 0 for r in range(self.p - 2))
+        object.__setattr__(self, "eta", eta)
 
     def wedge(self):
         """Convergence range of alpha: the sector extended by +-pi/2."""
@@ -132,29 +136,6 @@ def _line_quadrature(coef2, coefp, p):
     raise QuadratureFailure("tilted-line quadrature did not converge")
 
 
-def _sector_Z_mp(p, g_abs, q, alpha):
-    """sector_Z as an mpmath number at the working precision (call it under
-    mpmath.workdps), given alpha as an mpmath number.
-
-    The tilt angle, both line coefficients and the Jacobian e^{i theta} are
-    all computed at that precision: rounding any one of them to a double
-    moves Z_q by ~1e-17, far more than the jumps this route resolves.
-    """
-    import mpmath  # deferred: only this fallback needs it
-
-    omega = 2 * mpmath.pi / (p - 2)
-    theta = mpmath.mpf(p - 2) / (2 * p) * ((q + mpmath.mpf(0.5)) * omega - alpha)
-    coef2 = mpmath.expj(2 * theta)
-    coefp = (
-        mpmath.mpf(g_abs) ** (mpmath.mpf(p - 2) / 2)
-        * mpmath.expj((p - 2) * alpha / 2 + p * theta)
-        / p
-    )
-    R = mpmath.sqrt(2 * mpmath.log(mpmath.mpf(10) ** (mpmath.mp.dps + 8)) / coef2.real)
-    val = mpmath.quad(lambda x: mpmath.exp(-coef2 * x**2 / 2 + coefp * x**p), [-R, 0, R])
-    return mpmath.expj(theta) * val / mpmath.sqrt(2 * mpmath.pi)
-
-
 def sector_Z(
     p: int,
     g,
@@ -185,28 +166,61 @@ def sector_Z(
 def discontinuity(p: int, g_abs: float, q: int) -> complex:
     """Jump Z_q(|g| e^{i(q w)+}) - Z_{q-1}(|g| e^{i(q w)-}) at a sector boundary.
 
-    Z_{-1} means Z_{p-3} approached at angle 2 pi.  Nonzero jumps occur
-    exactly at the boundaries where a real instanton is trapped; the small
-    |g| limit is instanton_discontinuity.  Switches itself to the
-    high-precision route when the expected magnitude is below the double
-    cancellation floor.
+    Z_{-1} means Z_{p-3} approached at angle 2 pi.  The jump is exactly 0
+    unless real instantons are trapped (spec.eta of them); its small |g|
+    limit is instanton_discontinuity.  Where e^{-S_*} >= 1e-9 the two sector
+    sums are subtracted; below, where that would leave rounding noise, the
+    jump is integrated over the thimbles of the trapped instantons.
     """
     if g_abs <= 0:
         raise DomainError("g_abs must be positive")
     spec = SectorSpec(p, q)
+    if spec.eta == 0:
+        return 0j
+    if math.exp(-(p - 2) / (2 * p * g_abs)) < 1e-9:
+        return _thimble_jump(p, g_abs, spec.eta)
     # the lower side: Z_{q-1} at the same angle, or Z_{p-3} one turn on
     q_lower, k_lower = (q - 1, q) if q >= 1 else (p - 3, p - 2)
-    if math.exp(-(p - 2) / (2 * p * g_abs)) < 1e-9:
-        # subtract at 40 digits and round only the difference: rounding each
-        # O(1) sector to a double first would leave ~1e-16 of noise
-        import mpmath
-
-        with mpmath.workdps(40):
-            omega = 2 * mpmath.pi / (p - 2)
-            upper = _sector_Z_mp(p, g_abs, q, q * omega)
-            return complex(upper - _sector_Z_mp(p, g_abs, q_lower, k_lower * omega))
     upper = sector_Z(p, g_abs, q, alpha=q * spec.omega)
     return upper - sector_Z(p, g_abs, q_lower, alpha=k_lower * spec.omega)
+
+
+def _thimble_jump(p, g_abs, eta):
+    """Jump through eta trapped real instantons phi_*, on their thimbles.
+
+    With phi = phi_*(1+u), S - S_* = -u^2 R(u)/|g|, R(u) = (p-2)/2 +
+    sum_{k=3..p} C(p,k)/p u^{k-2}.  On the thimble H(u) = u sqrt(R(u)) =
+    i s sqrt|g| (s real), e^{-S} = e^{-S_*} e^{-s^2} and u(-s) = conj u(s),
+    so the jump is i eta e^{-S_*} sqrt(2/pi) int_0^inf e^{-s^2} Re(1/H') ds,
+    whose integrand never exceeds its value at s = 0: nothing cancels.
+    """
+    rc = [math.comb(p, k) / p for k in range(p, 2, -1)] + [(p - 2) / 2]
+
+    def integrand(s):
+        # nodes come in increasing s: Newton starts from the previous node's
+        # u, and sqrt(R) stays on the branch continuous with it
+        out, u, root = np.empty(s.size), 0j, math.sqrt((p - 2) / 2)
+        for i, target in enumerate(1j * math.sqrt(g_abs) * s.ravel()):
+            for _ in range(30):
+                R = dR = 0j
+                for c in rc:  # Horner for R and R'
+                    R, dR = R * u + c, dR * u + R
+                r = cmath.sqrt(R)
+                root = r if abs(r - root) <= abs(r + root) else -r
+                dH = root + u * dR / (2 * root)
+                step = (u * root - target) / dH
+                if abs(step) <= 1e-15 * abs(u):
+                    break
+                u -= step
+            else:
+                raise BranchTrackingFailed(f"thimble continuation lost u at node {i}")
+            out[i] = (1 / dH).real
+        return np.exp(-s * s) * out.reshape(s.shape)
+
+    total = sum(gl_panels(integrand, np.linspace(0.0, 6.5, 9), 32))  # e^{-6.5^2} = 4e-19
+    jump = eta * math.exp(-(p - 2) / (2 * p * g_abs)) * math.sqrt(2 / math.pi) * total
+    # a Python complex: a 0/0 ratio then raises ZeroDivisionError, not numpy's nan
+    return complex(0.0, jump)
 
 
 def instanton_discontinuity(p: int, g_abs: float) -> complex:

@@ -6,11 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from tensorspectra import borel
+from tensorspectra import borel, cli
 from tensorspectra.borel import (
     SectorSpec,
     _line_quadrature,
-    _sector_Z_mp,
+    _thimble_jump,
     discontinuity,
     instanton_discontinuity,
     instanton_points,
@@ -58,6 +58,10 @@ def test_sector_spec_invariants():
     assert s.omega * 1 < s.alpha_q < s.omega * 2
     assert SectorSpec(3, 0).eta == 1
     assert SectorSpec(4, 0).eta == 2
+    # trapped real instantons at each boundary q: 1 at odd p, 2 or 0 at even p
+    assert [SectorSpec(5, q).eta for q in range(3)] == [1, 1, 1]
+    assert [SectorSpec(4, q).eta for q in range(2)] == [2, 0]
+    assert [SectorSpec(8, q).eta for q in range(6)] == [2, 0, 2, 0, 2, 0]
     with pytest.raises(DomainError):
         SectorSpec(4, 2)
 
@@ -90,8 +94,7 @@ def test_sector_Z_agrees_with_optimal_truncation():
 
 def test_sector_Z_high_precision_matches_doubles():
     a = sector_Z(3, 0.05, 0, alpha=math.pi)
-    with mpmath.workdps(30):
-        b = complex(_sector_Z_mp(3, 0.05, 0, mpmath.mpf(math.pi)))
+    b = complex(_sector_Z_60_digits(3, 0.05, 0, mpmath.mpf(math.pi)))
     assert abs(a - b) < 1e-12
 
 
@@ -153,8 +156,10 @@ def test_discontinuity_p3_matches_instanton_at_g01():
 
 
 def test_discontinuity_p4_negative_axis_vanishes():
-    assert abs(discontinuity(4, 0.1, 1)) < 1e-10
-    assert abs(discontinuity(4, 0.05, 1)) < 1e-10
+    # no real instanton is trapped there: the jump is 0 on both routes
+    for p, q in [(4, 1), (6, 1), (6, 3), (8, 5)]:
+        for g_abs in (0.1, 0.05, 0.002):
+            assert discontinuity(p, g_abs, q) == 0, (p, q, g_abs)
 
 
 def test_discontinuity_p4_positive_axis_ratio_to_one():
@@ -196,34 +201,97 @@ def test_discontinuity_slope_matches_instanton_action():
     assert abs(slope - (-1 / 6)) < 0.02 * (1 / 6)
 
 
-def _jump_60_digits(p, g_abs, q):
-    """Z_q - Z_{q-1} at arg g = q w, from the definition at 60 digits:
-    phi = e^{i theta} x on sector r's line, g^{(p-2)/2} on the angle's sheet."""
+def _sector_Z_60_digits(p, g_abs, r, alpha):
+    """Z_r at |g| = g_abs and arg g = alpha (an mpmath number), from the
+    definition at 60 digits: phi = e^{i theta} x on sector r's line,
+    g^{(p-2)/2} on alpha's sheet."""
     with mpmath.workdps(60):
         w = 2 * mpmath.pi / (p - 2)
+        theta = (p - 2) * ((r + mpmath.mpf(1) / 2) * w - alpha) / (2 * p)
+        rot = mpmath.expj(theta)
+        # -(rot x)^2/2 + g^{(p-2)/2} (rot x)^p/p, with the powers of rot taken out
+        c2 = -(rot**2) / 2
+        cp = mpmath.mpf(g_abs) ** (mpmath.mpf(p - 2) / 2) * mpmath.expj((p - 2) * alpha / 2)
+        cp *= rot**p / p
+        R = 20 / mpmath.sqrt(mpmath.cos(2 * theta))  # e^{-200} left beyond +-R
+        f = lambda x: mpmath.exp(c2 * x**2 + cp * x**p)
+        return rot * mpmath.quad(f, [-R, 0, R]) / mpmath.sqrt(2 * mpmath.pi)
 
-        def Z(r, alpha):
-            theta = (p - 2) * ((r + mpmath.mpf(1) / 2) * w - alpha) / (2 * p)
-            rot = mpmath.expj(theta)
-            c = mpmath.mpf(g_abs) ** (mpmath.mpf(p - 2) / 2) * mpmath.expj((p - 2) * alpha / 2) / p
-            R = 20 / mpmath.sqrt(mpmath.cos(2 * theta))  # e^{-200} left beyond +-R
-            f = lambda x: mpmath.exp(-((rot * x) ** 2) / 2 + c * (rot * x) ** p)
-            return rot * mpmath.quad(f, [-R, 0, R]) / mpmath.sqrt(2 * mpmath.pi)
 
-        lower = Z(q - 1, q * w) if q else Z(p - 3, (p - 2) * w)
-        return complex(Z(q, q * w) - lower)
+def _jump_60_digits(p, g_abs, q):
+    """Z_q - Z_{q-1} at arg g = q w, both sector sums and their difference
+    at 60 digits.
+
+    Valid where the jump is far above the ~1e-61 floor of that subtraction
+    and mpmath.quad resolves the oscillating phi^p phase: within 5.5e-14 of
+    the thimble route at p = 3..6, g = 0.003..0.008, and within 4e-15 of the
+    double route at p = 3, 4, g = 0.1.  Not valid at larger p g, where quad
+    misses the phase: off by 1.6e-9 at (p, g) = (5, 0.1), 2.6e-11 at (6, 0.05)
+    and 1.5e-7 at (6, 0.1), where both double routes agree to 5e-13.  Not
+    valid near the floor: off by 1e-9..1e-7 at (4, 0.002), where the jump is
+    7e-55, and noise at p >= 5, g = 0.002, where it is ~1e-62..1e-66.
+    """
+    with mpmath.workdps(60):
+        w = 2 * mpmath.pi / (p - 2)
+        lower = (
+            _sector_Z_60_digits(p, g_abs, q - 1, q * w)
+            if q
+            else _sector_Z_60_digits(p, g_abs, p - 3, (p - 2) * w)
+        )
+        return complex(_sector_Z_60_digits(p, g_abs, q, q * w) - lower)
+
+
+TRAPPED = [(3, 0), (4, 0), (5, 0), (5, 1), (5, 2), (6, 0), (6, 2)]
 
 
 def test_discontinuity_tiny_g_uses_high_precision():
-    # |disc| is 5e-27..9e-10 here: a difference of doubles would be noise
-    for p, q in [(3, 0), (4, 0), (5, 1)]:
-        for g_abs in (0.005, 0.008):
+    # |disc| is 6e-49..9e-10 here: a difference of doubles would be noise,
+    # and the thimble route keeps a double's relative accuracy
+    assert [(p, q) for p in range(3, 7) for q in range(p - 2) if SectorSpec(p, q).eta] == TRAPPED
+    for p, q in TRAPPED:
+        for g_abs in (0.003, 0.005, 0.008):
             ref = _jump_60_digits(p, g_abs, q)
-            assert abs(discontinuity(p, g_abs, q) - ref) <= 1e-10 * abs(ref), (p, q, g_abs)
+            assert abs(discontinuity(p, g_abs, q) - ref) <= 1e-12 * abs(ref), (p, q, g_abs)
     # and, free of the tilt and sheet conventions both routes above share,
     # the small-g limit
-    d = discontinuity(3, 0.005, 0)
-    assert abs(d / instanton_discontinuity(3, 0.005) - 1) < 0.01
+    d = discontinuity(3, 0.003, 0)
+    assert abs(d / instanton_discontinuity(3, 0.003) - 1) < 0.01
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+def test_thimble_jump_one_loop_oracle(p):
+    # |disc/instanton| = 1 - a1 g + O(g^2), from inverting u sqrt(R(u)) = i eps
+    # to third order; Richardson's 2 s(g/2) - s(g) removes the O(g) term of
+    # s(g) = (1 - ratio)/g.  No 60-digit subtraction reaches g = 5e-4.
+    a1 = (p + 2) * (p - 1) / (12 * (p - 2))
+
+    def s(g):
+        return (1 - abs(discontinuity(p, g, 0) / instanton_discontinuity(p, g))) / g
+
+    assert abs(2 * s(5e-4) - s(1e-3) - a1) < 1e-4
+
+
+def test_thimble_jump_matches_double_route():
+    # where e^{-S_*} >= 1e-9 the double route is accurate: the two agree to
+    # its own rounding
+    for p in (3, 4):
+        spec = SectorSpec(p, 0)
+        for g_abs in np.linspace(0.02, 0.1, 9):
+            double = sector_Z(p, g_abs, 0, alpha=0.0) - sector_Z(p, g_abs, p - 3, alpha=2 * math.pi)
+            thimble = _thimble_jump(p, g_abs, spec.eta)
+            assert abs(thimble - double) <= 1e-10 * abs(double), (p, g_abs)
+
+
+def test_thimble_route_cli_rows(capsys):
+    # the sweep lies wholly on the thimble route: a purely imaginary jump
+    # near the instanton value
+    assert cli.main(["borel", "--p", "4", "--g-sweep", "0.002:0.004:0.001"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line[0] != "#"]
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row[header.index("re_disc")]) == 0
+        assert abs(float(row[header.index("ratio")]) - 1) < 0.01
 
 
 # --------------------------------------------------------------- rest bound

@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,6 +113,21 @@ def _resolve_alpha(p, g, q, alpha):
     return spec, alpha
 
 
+@lru_cache(maxsize=16)
+def _node_powers(p, shape, data):
+    """(x^2, x^p) at the float64 nodes whose bytes are data, read-only.
+
+    R depends on cos 2 theta alone, so every |g| of a sweep and both sector
+    sums of a discontinuity integrate over the same nodes at each level.
+    The cache is bounded because sector_Z takes any alpha and tilt_offset.
+    """
+    x = np.frombuffer(data).reshape(shape)
+    powers = x**2, x**p
+    for a in powers:
+        a.flags.writeable = False
+    return powers
+
+
 def _line_quadrature(coef2, coefp, p):
     """(2 pi)^{-1/2} integral over R of exp(-coef2 x^2/2 + coefp x^p) dx."""
     cosfac = coef2.real
@@ -120,7 +136,8 @@ def _line_quadrature(coef2, coefp, p):
     R = math.sqrt(2 * math.log(1e18) / cosfac)
 
     def integrand(x):
-        return np.exp(-coef2 * x**2 / 2 + coefp * x**p)
+        x2, xp = _node_powers(p, x.shape, x.tobytes())
+        return np.exp(-coef2 * x2 / 2 + coefp * xp)
 
     prev = None
     npanels = 8

@@ -37,6 +37,9 @@ __all__ = [
 
 # Newton steps a start may take in _newton_batch before it is dropped.
 _NEWTON_MAX_ITER = 200
+# Values a p > 3 block of rows may leave after _rayleigh's first slot, when
+# that is more than the dense array holds.
+_RAYLEIGH_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,14 @@ def _row_norm(a):
 def _rayleigh(tensor, x):
     """M = T x^{p-2}, g = M x = T x^{p-1} and lambda = x.g for each row of x."""
     if tensor.p > 3:
-        # the first slot leaves N^{p-1} values per row: N rows at a time keep
-        # that within the size of the dense array
+        # the first slot leaves N^{p-1} values per row: a block of rows keeps
+        # that within the size of the dense array, or of a small budget where
+        # N rows would make many tiny calls
         N = tensor.N
+        rows = max(N, _RAYLEIGH_BLOCK_VALUES // N ** (tensor.p - 1))
         M = np.empty(x.shape + (N,))
-        for i in range(0, len(x), N):
-            M[i : i + N] = contract_matrix(tensor, x[i : i + N])
+        for i in range(0, len(x), rows):
+            M[i : i + rows] = contract_matrix(tensor, x[i : i + rows])
     else:
         M = contract_matrix(tensor, x)
     g = np.matmul(M, x[:, :, None])[:, :, 0]

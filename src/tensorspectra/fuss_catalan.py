@@ -303,15 +303,24 @@ def _elementwise(f):
     return mapped
 
 
+def _exp_or_inf(a):
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
 # math's functions mapped over a 1-d array.  numpy's log, exp and log1p
 # differ from math's in the last bit on some inputs; pp_density calls these,
 # so every value has the bits of the same Newton run point by point on math.
+# exp_or_inf, the final exp of a density, gives +inf beyond the double range.
 _mathmap = SimpleNamespace(
     sin=_elementwise(math.sin),
     cos=_elementwise(math.cos),
     log=_elementwise(math.log),
     log1p=_elementwise(math.log1p),
     exp=_elementwise(math.exp),
+    exp_or_inf=_elementwise(_exp_or_inf),
 )
 
 
@@ -329,7 +338,8 @@ def pp_density(p: int, x: float | np.ndarray) -> float | np.ndarray:
     logs, so nothing overflows or cancels at any p.  x may be a float or a
     1-d float array: the Newton runs on every point at once, each point with
     its own bracket and stopping test, so no value depends on the others.
-    A float x returns a float.
+    A float x returns a float.  Where P_p exceeds the largest double (x of
+    5e-324 at p = 100) it is reported as +inf.
     """
     _check_order(p)
     scalar = not isinstance(x, np.ndarray)
@@ -338,7 +348,7 @@ def pp_density(p: int, x: float | np.ndarray) -> float | np.ndarray:
     outside = ~((0.0 < x) & (x <= 1.0 / u_c))
     if outside.any():
         raise DomainError(f"x={float(x[outside.argmax()])} outside the support (0, {1/u_c}]")
-    out = _mathmap.exp(_log_pp(p, x, _mathmap.log(x)))
+    out = _mathmap.exp_or_inf(_log_pp(p, x, _mathmap.log(x)))
     return float(out[0]) if scalar else out
 
 
@@ -410,7 +420,9 @@ def wigner_density(p: int, y: float | np.ndarray) -> float | np.ndarray:
     singularity at the origin; rho(0) is reported as +inf there.  y may be
     a float or a 1-d float array, evaluated on pp_density's route in one
     pass; a float y returns a float.  Below |y| = 1.49e-154, where y^2 is
-    subnormal or zero, log y^2 is taken as 2 log|y| and rho is formed in logs.
+    subnormal or zero, log y^2 is taken as 2 log|y| and rho is formed in logs;
+    where rho then exceeds the largest double (|y| ~ 1e-320 at p = 1000) it
+    is reported as +inf, as at the origin.
     """
     _check_order(p)
     scalar = not isinstance(y, np.ndarray)
@@ -429,8 +441,9 @@ def wigner_density(p: int, y: float | np.ndarray) -> float | np.ndarray:
     log_x[tiny] = 2 * log_a
     log_p = _log_pp(p, x, log_x)
     rho = np.empty(a.size)
+    # P_p(x) < e^701 for x >= sys.float_info.min at every p
     rho[~tiny] = a[~tiny] * _mathmap.exp(log_p[~tiny])
-    rho[tiny] = _mathmap.exp(log_a + log_p[tiny])
+    rho[tiny] = _mathmap.exp_or_inf(log_a + log_p[tiny])
     out[rest] = rho
     return float(out[0]) if scalar else out
 
@@ -475,6 +488,7 @@ def density_moment(p: int, n: int, tol: float = 1e-7) -> float:
     tolerance `tol`).  x^n P_p(x) dx is integrated in pp_density's angle,
     where P_p |dx/dphi| = sin(phi) sin(p phi) |d log x/dphi| / (pi sin((p-1) phi))
     is smooth; the Gauss-Legendre order doubles until two orders agree to `tol`.
+    The curve at each order's nodes is computed once and shared by every n.
     """
     _check_order(p)
     if n < 0:
@@ -482,22 +496,15 @@ def density_moment(p: int, n: int, tol: float = 1e-7) -> float:
     half = math.pi / (2 * p)
     edge_scale = critical_point(p) ** -n  # the edge half's log_x is log(u_c x)
 
-    def weighted(t, from_origin):
-        log_x, slope, s1, sq, sp = _curve(p, t, from_origin, np)
-        return np.exp(n * log_x) * s1 * sp * np.abs(slope) / (math.pi * sq)
-
-    def origin(s):
-        # t = half s^2 moves the nodes away from the pole of 1/sin((p-1) phi)
-        # at t = -pi/(p(p-1)), just past this half's end
-        return 2 * half * s * weighted(half * s * s, True)
-
-    def edge(t):
-        return edge_scale * weighted(t, False)
+    def rule(order, from_origin):
+        width, wts, s, (log_x, slope, s1, sq, sp) = _moment_curve(p, order, from_origin)
+        f = np.exp(n * log_x) * s1 * sp * np.abs(slope) / (math.pi * sq)
+        f = 2 * half * s * f if from_origin else edge_scale * f
+        return (width * np.sum(wts * f, axis=1))[0]
 
     prev = None
     for order in (16, 32, 64, 128, 256, 512, 1024):
-        val = (gl_panels(origin, np.array([0.0, 1.0]), order)[0]
-               + gl_panels(edge, np.array([0.0, half]), order)[0])
+        val = rule(order, True) + rule(order, False)
         err = math.inf if prev is None else abs(val - prev)
         if err <= tol:
             return float(val)
@@ -506,6 +513,25 @@ def density_moment(p: int, n: int, tol: float = 1e-7) -> float:
         f"moment quadrature error estimate {err} above tolerance {tol}",
         error_estimate=err,
     )
+
+
+@lru_cache(maxsize=128)
+def _moment_curve(p, order, from_origin):
+    """density_moment's Gauss-Legendre rule of the given order on one half
+    of pp_density's curve, with the curve at its nodes:
+    (panel half-width, weights, s, _curve(p, t)).
+
+    The origin half has nodes s on [0, 1] and t = (pi/2p) s^2, which moves
+    the nodes away from the pole of 1/sin((p-1) phi) at t = -pi/(p(p-1)),
+    just past this half's end; the edge half has nodes s = t on [0, pi/2p].
+    The arrays are read-only: every call with the same key shares them.
+    """
+    half = math.pi / (2 * p)
+    width, s, wts = _panel_nodes(np.array([0.0, 1.0 if from_origin else half]), order)
+    curve = _curve(p, half * s * s if from_origin else s, from_origin, np)
+    for a in (width, s, *curve):
+        a.flags.writeable = False
+    return width, wts, s, curve
 
 
 @lru_cache(maxsize=None)
@@ -523,6 +549,12 @@ def gl_panels(func, edges, order):
 
     func is called once, on the (panels, order) array of all nodes.
     """
+    half, nodes, wts = _panel_nodes(edges, order)
+    return half * np.sum(wts * func(nodes), axis=1)
+
+
+def _panel_nodes(edges, order):
+    """(half-widths, (panels, order) nodes, weights) of gl_panels' rule."""
     x, wts = _gl_nodes(order)
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
-    return half * np.sum(wts * func(mid[:, None] + half[:, None] * x), axis=1)
+    return half, mid[:, None] + half[:, None] * x, wts

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tensorspectra.fuss_catalan import critical_point, gl_panels, support_edge
+from tensorspectra.errors import QuadratureFailure
+from tensorspectra.fuss_catalan import _curve, critical_point, gl_panels, support_edge
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -123,3 +124,34 @@ def reference_wigner_density(p, y):
     if y == 0.0:
         return 1.0 / math.pi if p == 2 else math.inf
     return abs(y) * reference_pp_density(p, y * y)
+
+
+def reference_density_moment(p, n, tol=1e-7):
+    """density_moment as one n at a time, each order evaluating the curve at
+    its nodes afresh: the loop the shared curve replaced, kept as its
+    bitwise reference."""
+    half = math.pi / (2 * p)
+    edge_scale = critical_point(p) ** -n
+
+    def weighted(t, from_origin):
+        log_x, slope, s1, sq, sp = _curve(p, t, from_origin, np)
+        return np.exp(n * log_x) * s1 * sp * np.abs(slope) / (math.pi * sq)
+
+    def origin(s):
+        return 2 * half * s * weighted(half * s * s, True)
+
+    def edge(t):
+        return edge_scale * weighted(t, False)
+
+    prev = None
+    for order in (16, 32, 64, 128, 256, 512, 1024):
+        val = (gl_panels(origin, np.array([0.0, 1.0]), order)[0]
+               + gl_panels(edge, np.array([0.0, half]), order)[0])
+        err = math.inf if prev is None else abs(val - prev)
+        if err <= tol:
+            return float(val)
+        prev = val
+    raise QuadratureFailure(
+        f"moment quadrature error estimate {err} above tolerance {tol}",
+        error_estimate=err,
+    )

@@ -19,7 +19,8 @@ from tensorspectra.borel import (
     sector_Z,
     taylor_rest_check,
 )
-from tensorspectra.errors import DomainError, OutsideWedge, ParityError
+from tensorspectra.errors import DomainError, OutsideWedge, ParityError, QuadratureFailure
+from tensorspectra.fuss_catalan import gl_panels
 
 
 # ------------------------------------------------------------- coefficients
@@ -143,6 +144,86 @@ def test_line_quadrature_is_bitwise_the_panel_loop(checked_gl_panels):
         # the old loop summed np.complex128 panels, then divided
         ref = sum(levels[-1]) / math.sqrt(2 * math.pi)
         assert got == ref and type(got) is type(ref)
+
+
+def reference_line_quadrature(coef2, coefp, p):
+    """_line_quadrature with x^2 and x^p evaluated afresh at every level of
+    every call: the body the shared node powers replaced, kept as its
+    bitwise reference."""
+    cosfac = coef2.real
+    if cosfac <= 0:
+        raise OutsideWedge("Gaussian factor does not decay on this contour")
+    R = math.sqrt(2 * math.log(1e18) / cosfac)
+
+    def integrand(x):
+        return np.exp(-coef2 * x**2 / 2 + coefp * x**p)
+
+    prev = None
+    npanels = 8
+    for _ in range(10):
+        edges = np.linspace(-R, R, npanels + 1)
+        total = sum(gl_panels(integrand, edges, 32))
+        if prev is not None and abs(total - prev) <= 1e-12 * max(abs(total), 1e-8):
+            return total / math.sqrt(2 * math.pi)
+        prev = total
+        npanels *= 2
+    raise QuadratureFailure("tilted-line quadrature did not converge")
+
+
+def _bits(value):
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return (type(value), float(value.real).hex(), float(value.imag).hex())
+
+
+def test_public_values_are_bitwise_the_uncached_quadrature(monkeypatch):
+    # a seeded grid over p = 3..6, sectors, angles, couplings and tilts, on
+    # a cold cache, then warm, then with the reference quadrature
+    rng = np.random.default_rng(1717)
+    cases = []
+    for _ in range(24):
+        p = int(rng.integers(3, 7))
+        spec = SectorSpec(p, int(rng.integers(0, p - 2)))
+        alpha = spec.omega * (spec.q + rng.uniform(0.1, 0.9))
+        g = rng.uniform(0.02, 0.1)
+        tilt = float(rng.choice([0.0, 0.01, -0.02, 0.03, -0.05]))
+        w = rng.uniform(2.0, 5.0) * cmath.exp(1j * (math.pi / 2 + rng.uniform(-0.3, 0.3)))
+        cases.append(lambda p=p, q=spec.q, g=g, a=alpha, t=tilt: sector_Z(p, g, q, alpha=a, tilt_offset=t))
+        cases.append(lambda p=p, q=spec.q, g=g, a=alpha: sector_Z(p, g * cmath.exp(1j * a), q))
+        cases.append(lambda p=p, q=spec.q, g=g, a=alpha: taylor_rest_check(p, g, q, 5, alpha=a))
+        cases.append(lambda p=p, w=w: rescaled_Z(p, w, "+"))
+        cases.append(lambda p=p, w=w: rescaled_Z(p, w.conjugate(), "-"))
+    for p, q in TRAPPED:
+        for g in (0.03, 0.07, 0.1):
+            cases.append(lambda p=p, q=q, g=g: discontinuity(p, g, q))
+
+    def values():
+        return [_bits(case()) for case in cases]
+
+    borel._node_powers.cache_clear()
+    cold, warm = values(), values()
+    monkeypatch.setattr(borel, "_line_quadrature", reference_line_quadrature)
+    ref = values()
+    assert cold == warm == ref
+
+
+def test_borel_sweep_computes_node_powers_once_per_level(capsys):
+    # all nine |g| and both sector sums share R: levels of 8 and 16 panels,
+    # where every sector sum took its own (36 evaluations)
+    borel._node_powers.cache_clear()
+    assert cli.main(["borel", "--p", "3", "--g-sweep", "0.02:0.1:0.01"]) == 0
+    info = borel._node_powers.cache_info()
+    assert (info.misses, info.hits) == (2, 34)
+
+
+def test_node_power_cache_stays_bounded():
+    # every tilt moves R, so each call brings new nodes
+    borel._node_powers.cache_clear()
+    for k in range(1000):
+        sector_Z(3, 0.05, 0, alpha=math.pi, tilt_offset=1e-4 * k)
+    info = borel._node_powers.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.misses >= 1000
 
 
 # ------------------------------------------------------------ discontinuity

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tensorspectra import eigenpairs
 from tensorspectra.eigenpairs import (
     Eigenpair,
     _canonical_sign,
@@ -272,6 +273,37 @@ def test_stacked_contractions_match_single_vectors(p, N):
     # any leading stack shape
     G2 = contract_gradient(T, X.reshape(2, 3, N))
     assert G2.shape == (2, 3, N) and G2.tobytes() == G.tobytes()
+
+
+def _recorded_block_rows(monkeypatch):
+    rows = []
+
+    def recording(tensor, x):
+        rows.append(len(x))
+        return contract_matrix(tensor, x)
+
+    monkeypatch.setattr(eigenpairs, "contract_matrix", recording)
+    return rows
+
+
+@pytest.mark.parametrize("p, N, starts", [(8, 2, 20), (4, 10, 30), (5, 5, 40), (6, 4, 30)])
+def test_rayleigh_blocks_are_bitwise_n_row_blocks(monkeypatch, p, N, starts):
+    # a block holds max(N, 2^16 / N^{p-1}) rows, one contraction where
+    # N-row blocks made 3 to 10, and each row keeps its bits
+    T = sample_goe(p, N, seed=N)
+    x = np.random.default_rng(p).normal(size=(starts, N))
+    ref = np.concatenate([contract_matrix(T, x[i : i + N]) for i in range(0, starts, N)])
+    rows = _recorded_block_rows(monkeypatch)
+    assert eigenpairs._rayleigh(T, x)[0].tobytes() == ref.tobytes()
+    assert rows == [starts]
+
+
+def test_rayleigh_blocks_stay_within_the_dense_array(monkeypatch):
+    p, N = 4, 30
+    T = sample_goe(p, N, seed=0)
+    rows = _recorded_block_rows(monkeypatch)
+    eigenpairs._rayleigh(T, np.random.default_rng(0).normal(size=(100, N)))
+    assert sum(rows) == 100 and max(rows) * N ** (p - 1) <= T.to_dense().size
 
 
 def singular_start():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tensorspectra import cli, fuss_catalan
 from tensorspectra import (
     critical_point,
     density_moment,
@@ -20,10 +21,10 @@ from tensorspectra import (
     wigner_density,
     wigner_density_roots,
 )
-from tensorspectra.errors import CutContact, DomainError
+from tensorspectra.errors import CutContact, DomainError, QuadratureFailure
 from tensorspectra.fuss_catalan import _fc_series, _fc_track, _newton_polish
 
-from conftest import reference_pp_density, reference_wigner_density
+from conftest import reference_density_moment, reference_pp_density, reference_wigner_density
 
 
 # ---------------------------------------------------------------- oracles
@@ -358,6 +359,21 @@ def test_wigner_density_below_the_subnormal_square(p):
         assert v == w == wigner_density(p, y) == wigner_density(p, -y)
 
 
+def test_density_beyond_the_double_range_is_inf():
+    # only the final exp saturates, as rho(0) = +inf does; finite points
+    # of the same array keep the bits of their own scalar calls
+    assert pp_density(1000, 5e-324) == math.inf
+    assert wigner_density(1000, 1e-320) == math.inf
+    xs = np.array([5e-324, 1e-300, 0.5])
+    got = pp_density(1000, xs)
+    assert got[0] == math.inf
+    assert [v.hex() for v in got[1:].tolist()] == [pp_density(1000, x).hex() for x in (1e-300, 0.5)]
+    ys = np.array([1e-320, -1e-320, 1e-100, 0.0])
+    got = wigner_density(1000, ys)
+    assert got[[0, 1, 3]].tolist() == [math.inf] * 3
+    assert got[2].hex() == wigner_density(1000, 1e-100).hex()
+
+
 def test_wigner_density_refuses_nan():
     with pytest.raises(DomainError):
         wigner_density(3, math.nan)
@@ -426,6 +442,45 @@ def test_density_moments_relative_at_large_p(p):
     for n in range(9):
         exact = fuss_catalan_number(p, n)
         assert abs(density_moment(p, n, tol=1e-13 * exact) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 10, 50, 150, 1000])
+def test_density_moment_is_bitwise_the_per_n_loop(p):
+    # at the default absolute tol and at a relative one; where the per-n
+    # loop gives up, the shared curve gives up with the same estimate
+    for n in range(9):
+        for tol in (1e-7, 1e-13 * fuss_catalan_number(p, n)):
+            try:
+                ref = reference_density_moment(p, n, tol)
+            except QuadratureFailure as exc:
+                with pytest.raises(QuadratureFailure) as got:
+                    density_moment(p, n, tol)
+                assert got.value.error_estimate == exc.error_estimate
+                continue
+            assert density_moment(p, n, tol).hex() == ref.hex(), (n, tol)
+
+
+def test_moments_job_evaluates_the_curve_once_per_order_and_half(monkeypatch, capsys):
+    # a cold `moments --p 3 --nmax 6` needs orders 16 and 32 for every n:
+    # 4 curves, each (order, half) once, where one n at a time took 28
+    calls = []
+
+    def counted(p, t, from_origin, xp):
+        calls.append((t.shape, from_origin))
+        return curve(p, t, from_origin, xp)
+
+    curve = fuss_catalan._curve
+    monkeypatch.setattr(fuss_catalan, "_curve", counted)
+    fuss_catalan._moment_curve.cache_clear()
+    assert cli.main(["moments", "--p", "3", "--nmax", "6"]) == 0
+    assert len(calls) == len(set(calls)) == 4
+
+
+def test_moment_curve_cache_stays_bounded():
+    for p in range(2, 202):
+        density_moment(p, 0)
+    info = fuss_catalan._moment_curve.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < info.misses
 
 
 def test_odd_moments_vanish():

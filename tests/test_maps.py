@@ -11,6 +11,7 @@ import pytest
 
 from tensorspectra.cli import main
 from tensorspectra.errors import CapExceeded, DomainError
+from tensorspectra.fuss_catalan import fuss_catalan_number
 from tensorspectra.maps import (
     ENUMERATION_CAP,
     CombinatorialMap,
@@ -326,6 +327,21 @@ def test_wick_pinned_values():
 def test_wick_parity_zero():
     assert wick_expectation(3, 7, 3) == 0
     assert wick_expectation(2, 5, 1) == 0
+
+
+# every (p, n) with n even and n p within the enumeration cap
+EVEN_SIZES = [(p, n) for p in range(2, 7) for n in range(2, ENUMERATION_CAP // p + 1, 2)]
+
+
+@pytest.mark.parametrize("p, n", EVEN_SIZES)
+def test_wick_expectation_tends_to_fuss_catalan(p, n):
+    # the paper's moment identity: <I_n>/N -> F_p(n/2) as N -> oo, with a
+    # 1/N correction (N = 10^6 times the gap is 1 at (2, 2), 48 at (3, 4))
+    limit = fuss_catalan_number(p, n // 2)
+    gap5 = wick_expectation(p, 10**5, n) - limit
+    gap6 = wick_expectation(p, 10**6, n) - limit
+    assert 0 < gap6 < Fraction(100, 10**6)
+    assert 9.9 < gap5 / gap6 < 10.1
 
 
 def test_wick_melonic_limit_monotone():
